@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import synthetic
 from .corpus import GroupSchema, load_corpus
-from .errors import FairQRError, RefinerError
+from .errors import FairQRError, IndexBuildError, RefinerError, SchemaError
 from .evaluation import (
     Significance,
     evaluate_run,
@@ -132,14 +132,18 @@ def _load_queries(path) -> list[tuple[str, str]]:
 def _load_store_and_index(config):
     _require(config, "corpus", "schema")
     store = load_corpus(config["corpus"], config["schema"])
-    if config.get("index_file") and os.path.exists(config["index_file"]):
-        index = load_index(config["index_file"])
-    else:
-        index = build_index(store)
+    path = config.get("index_file")
+    if not (path and os.path.exists(path)):
+        return store, build_index(store)
+    index = load_index(path)
+    if (index.doc_lengths.keys() != store.documents.keys()
+            or sum(index.doc_lengths.values()) != store.total_tokens):
+        raise IndexBuildError(f"index file {path} was not built from corpus "
+                              f"{config['corpus']}; rerun `fairqr index`")
     return store, index
 
 
-def _targets_for(config, store, qrels, query_ids) -> dict[str, FairnessTarget]:
+def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
     category = config["category"]
     schema = store.schema(category)
     targets: dict[str, FairnessTarget] = {}
@@ -149,13 +153,21 @@ def _targets_for(config, store, qrels, query_ids) -> dict[str, FairnessTarget]:
         for query_id, per_cat in explicit.items():
             if category not in per_cat:
                 continue
-            probs = [per_cat[category].get(s, 0.0) for s in schema.subgroups]
+            masses = per_cat[category]
+            outside = sorted(set(masses) - set(schema.subgroups))
+            if outside:
+                raise SchemaError(f"target for query {query_id!r} names "
+                                  f"{outside}, not in category {category!r}")
+            probs = [masses.get(s, 0.0) for s in schema.subgroups]
+            try:
+                dist = ExposureDistribution(category, probs)
+            except ValueError as exc:
+                raise FairQRError(
+                    f"target for query {query_id!r}: {exc}") from None
             targets[query_id] = FairnessTarget(
-                query_id, category,
-                ExposureDistribution(category, probs), provenance="explicit",
-            )
+                query_id, category, dist, provenance="explicit")
         return targets
-    for query_id in query_ids:
+    for query_id in qids:
         try:
             targets[query_id] = target_from_qrels(
                 qrels, store, query_id, category
@@ -309,27 +321,25 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _merge_config(args)
-    _require(config, "qrels")
-    store, _ = _load_store_and_index(config)
+    _require(config, "qrels", "corpus", "schema")
+    store = load_corpus(config["corpus"], config["schema"])
     qrels = parse_qrels(config["qrels"])
     category = config["category"]
     run_a = parse_run(args.run)
-    all_query_ids = sorted(run_a)
-    targets_flat = _targets_for(config, store, qrels, all_query_ids)
+    targets_flat = _targets_for(config, store, qrels, sorted(run_a))
     targets = {qid: {category: t} for qid, t in targets_flat.items()}
     k = config["k"]
     report = evaluate_run(run_a, qrels, targets, store, k)
     if args.run_b:
         run_b = parse_run(args.run_b)
         report_b = evaluate_run(run_b, qrels, targets, store, k)
+        rows_a = {r.query_id: r for r in report.rows}
         rows_b = {r.query_id: r for r in report_b.rows}
-        shared = [r.query_id for r in report.rows if r.query_id in rows_b]
+        shared = [q for q in rows_a if q in rows_b]
         if len(shared) >= 2:
-            a_ndcg = [next(r for r in report.rows if r.query_id == q).ndcg
-                      for q in shared]
+            a_ndcg = [rows_a[q].ndcg for q in shared]
             b_ndcg = [rows_b[q].ndcg for q in shared]
-            a_awrf = [next(r for r in report.rows if r.query_id == q).awrf[category]
-                      for q in shared]
+            a_awrf = [rows_a[q].awrf[category] for q in shared]
             b_awrf = [rows_b[q].awrf[category] for q in shared]
             report.significance = Significance(
                 comparison_run=args.run_b,

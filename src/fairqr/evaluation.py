@@ -72,7 +72,6 @@ class QueryRow:
     ndcg: float
     awrf: dict[str, float]       # category -> AWRF@k
     product: dict[str, float]    # category -> nDCG * AWRF
-    trace_summary: str = ""
 
 
 @dataclass
@@ -108,7 +107,6 @@ def evaluate_run(
     targets: dict[str, dict[str, FairnessTarget]],
     store: CorpusStore,
     k: int,
-    trace_summaries: dict[str, str] | None = None,
 ) -> RunReport:
     """Per-query nDCG@k and AWRF@k per category, aggregated by mean.
 
@@ -135,7 +133,6 @@ def evaluate_run(
             ndcg=ndcg,
             awrf=awrf_by_cat,
             product={c: composite(ndcg, a) for c, a in awrf_by_cat.items()},
-            trace_summary=(trace_summaries or {}).get(query_id, ""),
         )
         report.rows.append(row)
     return report
@@ -150,7 +147,6 @@ def report_to_dict(report: RunReport) -> dict:
                 "ndcg": r.ndcg,
                 "awrf": r.awrf,
                 "product": r.product,
-                "trace_summary": r.trace_summary,
             }
             for r in report.rows
         ],

@@ -36,7 +36,7 @@ class FairnessTarget:
     query_id: str
     category: str
     target: ExposureDistribution
-    provenance: str  # qrels-empirical | uniform | explicit
+    provenance: str  # qrels-empirical | explicit
 
 
 def _position_weights(n: int, weighting: str) -> np.ndarray:
@@ -99,13 +99,6 @@ def target_from_qrels(
     vectors = np.stack([group_vector(store, d, category) for d in relevant])
     dist = ExposureDistribution(category, vectors.mean(axis=0))
     return FairnessTarget(query_id, category, dist, provenance="qrels-empirical")
-
-
-def uniform_target(
-    query_id: str, category: str, n_subgroups: int
-) -> FairnessTarget:
-    dist = ExposureDistribution(category, np.full(n_subgroups, 1.0 / n_subgroups))
-    return FairnessTarget(query_id, category, dist, provenance="uniform")
 
 
 def _as_vector(dist) -> np.ndarray:

@@ -67,10 +67,6 @@ class InvertedIndex:
     def n_documents(self) -> int:
         return len(self.doc_lengths)
 
-    def posting_list(self, term: str) -> list[tuple[str, int]]:
-        """Postings for a term as (doc_id, tf) pairs sorted by doc_id."""
-        return sorted(self.postings.get(term, {}).items())
-
 
 def build_index(
     store: CorpusStore, k1: float = DEFAULT_K1, b: float = DEFAULT_B
@@ -98,19 +94,36 @@ def _idf(index: InvertedIndex, term: str) -> float:
     return log(1.0 + (n - df + 0.5) / (df + 0.5))
 
 
+def _bm25(index: InvertedIndex, query_tokens: list[str]) -> dict[str, float]:
+    """BM25 score of every document that contains a query term.
+
+    The only BM25 code: distinct query terms are summed in query order.
+    """
+    k1, b, avgdl = index.k1, index.b, index.avgdl
+    scores: dict[str, float] = {}
+    for term in dict.fromkeys(query_tokens):
+        idf = _idf(index, term)
+        for doc_id, tf in index.postings.get(term, {}).items():
+            norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / avgdl)
+            gain = idf * tf * (k1 + 1.0) / (tf + norm)
+            scores[doc_id] = scores.get(doc_id, 0.0) + gain
+    return scores
+
+
+def bm25_scores(
+    index: InvertedIndex, query_tokens: list[str], doc_ids: list[str]
+) -> list[float]:
+    """BM25 score of each of doc_ids, in order; 0.0 when no term occurs."""
+    for doc_id in doc_ids:
+        if doc_id not in index.doc_lengths:
+            raise CorpusLookupError(f"document {doc_id!r} not in index")
+    scores = _bm25(index, query_tokens)
+    return [scores.get(doc_id, 0.0) for doc_id in doc_ids]
+
+
 def bm25_score(index: InvertedIndex, query_tokens: list[str], doc_id: str) -> float:
     """Sum of per-term BM25 contributions over distinct query terms."""
-    if doc_id not in index.doc_lengths:
-        raise CorpusLookupError(f"document {doc_id!r} not in index")
-    dl = index.doc_lengths[doc_id]
-    norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
-    score = 0.0
-    for term in dict.fromkeys(query_tokens):
-        tf = index.postings.get(term, {}).get(doc_id, 0)
-        if tf == 0:
-            continue
-        score += _idf(index, term) * tf * (index.k1 + 1.0) / (tf + norm)
-    return score
+    return bm25_scores(index, query_tokens, [doc_id])[0]
 
 
 def retrieve(
@@ -125,19 +138,7 @@ def retrieve(
     tokens = tokenize(query)
     if not tokens:
         raise EmptyQueryError(f"query {query!r} tokenized to nothing")
-    accum: dict[str, float] = {}
-    for term in dict.fromkeys(tokens):
-        bucket = index.postings.get(term)
-        if not bucket:
-            continue
-        idf = _idf(index, term)
-        k1, b, avgdl = index.k1, index.b, index.avgdl
-        for doc_id, tf in bucket.items():
-            norm = k1 * (1.0 - b + b * index.doc_lengths[doc_id] / avgdl)
-            accum[doc_id] = accum.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / (
-                tf + norm
-            )
-    ordered = sorted(accum.items(), key=lambda kv: (-kv[1], kv[0]))
+    ordered = sorted(_bm25(index, tokens).items(), key=lambda kv: (-kv[1], kv[0]))
     return make_ranked_list(query_id, ordered[:pool_size])
 
 

@@ -282,11 +282,14 @@ def fair_qr(
         except (RefinerError, ParseError):
             trace.terminal_reason = "no-decrease"
             return best_ranked, trace
-        try:
-            ranked_i, eps_i, delta_i = measure(refined)
-        except (EmptyQueryError, DegenerateExposureError):
-            trace.terminal_reason = "no-decrease"
-            return best_ranked, trace
+        if refined == current_query:  # the last accepted query: measured
+            ranked_i, eps_i, delta_i = best_ranked, best_eps, best_delta
+        else:
+            try:
+                ranked_i, eps_i, delta_i = measure(refined)
+            except (EmptyQueryError, DegenerateExposureError):
+                trace.terminal_reason = "no-decrease"
+                return best_ranked, trace
         accepted = delta_i < best_delta
         trace.records.append(
             IterationRecord(

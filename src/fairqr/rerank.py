@@ -2,22 +2,21 @@
 from __future__ import annotations
 
 from .corpus import CorpusStore, tokenize
-from .index import InvertedIndex, RankedList, bm25_score, make_ranked_list
+from .index import InvertedIndex, RankedList, bm25_scores, make_ranked_list
 
 
 def semantic_rerank(
-    doc_ids, original_query: str, index: InvertedIndex, query_id: str = ""
+    candidates: RankedList, original_query: str, index: InvertedIndex,
+    query_id: str = "",
 ) -> RankedList:
-    """Reorder a document set by BM25 against the original query.
+    """Reorder a retrieved set by BM25 against the original query.
 
     Output is a permutation of the input set; ties break by doc_id. An empty
     set yields an empty list.
     """
-    tokens = tokenize(original_query)
-    if hasattr(doc_ids, "doc_ids"):
-        doc_ids = doc_ids.doc_ids()
-    scored = [(doc_id, bm25_score(index, tokens, doc_id)) for doc_id in doc_ids]
-    scored.sort(key=lambda kv: (-kv[1], kv[0]))
+    doc_ids = candidates.doc_ids()
+    scores = bm25_scores(index, tokenize(original_query), doc_ids)
+    scored = sorted(zip(doc_ids, scores), key=lambda kv: (-kv[1], kv[0]))
     return make_ranked_list(query_id, scored)
 
 
@@ -53,8 +52,7 @@ def mmr_rerank(
     pool = candidates.doc_ids()
     if not pool:
         return make_ranked_list(candidates.query_id, [])
-    tokens = tokenize(original_query)
-    raw = {d: bm25_score(index, tokens, d) for d in pool}
+    raw = dict(zip(pool, bm25_scores(index, tokenize(original_query), pool)))
     lo, hi = min(raw.values()), max(raw.values())
     if hi > lo:
         rel = {d: (s - lo) / (hi - lo) for d, s in raw.items()}

@@ -13,30 +13,23 @@ from .index import RankedList, make_ranked_list
 
 @dataclass
 class Qrels:
-    """Graded relevance judgments keyed by (query id, doc id)."""
+    """Graded relevance judgments: query id -> doc id -> grade."""
 
-    grades: dict[tuple[str, str], int] = field(default_factory=dict)
+    grades: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
         if grade < 0:
             raise RunFileError(
                 f"negative grade for ({query_id}, {doc_id}): {grade}"
             )
-        key = (query_id, doc_id)
-        if key in self.grades:
+        judged = self.grades.setdefault(query_id, {})
+        if doc_id in judged:
             raise RunFileError(f"duplicate qrels pair ({query_id}, {doc_id})")
-        self.grades[key] = grade
+        judged[doc_id] = grade
 
     def judgments(self, query_id: str) -> dict[str, int]:
-        return {
-            d: g for (q, d), g in self.grades.items() if q == query_id
-        }
-
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self.grades.get((query_id, doc_id), 0)
-
-    def query_ids(self) -> list[str]:
-        return sorted({q for q, _ in self.grades})
+        """The query's judgments, doc id -> grade, in the order added."""
+        return dict(self.grades.get(query_id, {}))
 
 
 def parse_qrels(path) -> Qrels:
@@ -67,8 +60,9 @@ def parse_qrels(path) -> Qrels:
 
 def write_qrels(qrels: Qrels, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for (query_id, doc_id), grade in sorted(qrels.grades.items()):
-            fh.write(f"{query_id} 0 {doc_id} {grade}\n")
+        for query_id, judged in sorted(qrels.grades.items()):
+            for doc_id, grade in sorted(judged.items()):
+                fh.write(f"{query_id} 0 {doc_id} {grade}\n")
 
 
 def write_run(run: dict[str, RankedList], path, tag: str = "fairqr") -> None:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from bm25_reference import reference_score
 from fairqr.cli import main
 from fairqr.corpus import load_corpus, tokenize
 from fairqr.errors import RefinerError
@@ -30,7 +31,7 @@ from fairqr.fairness import (
     kl_divergence,
     target_from_qrels,
 )
-from fairqr.index import bm25_score, build_index, make_ranked_list, retrieve
+from fairqr.index import build_index, make_ranked_list, retrieve
 from fairqr.llm import ChatCompletionClient
 from fairqr.refine import LLMRefiner, LexiconRefiner, RefinerConfig, fair_qr
 from fairqr.rerank import semantic_rerank
@@ -207,7 +208,7 @@ def test_criterion_4_rerank_contract(pipeline):
         reranked = semantic_rerank(fair_set, qtext, index, query_id)
         ok &= sorted(reranked.doc_ids()) == sorted(fair_set.doc_ids())
         tokens = tokenize(qtext)
-        best = max(bm25_score(index, tokens, d) for d in fair_set.doc_ids())
+        best = max(reference_score(index, tokens, d) for d in fair_set.doc_ids())
         ok &= reranked.entries[0].score == best
     _report(4, "semantic rerank permutes the loop set, best doc first", ok)
 

@@ -131,6 +131,39 @@ class TestRunCmd:
         ).read_bytes()
 
 
+class TestStaleInputs:
+    def test_index_from_another_corpus_rejected(self, workspace, tmp_path,
+                                                capsys):
+        other = tmp_path / "other"
+        assert main(["gen", "--out", str(other), "--docs", "100",
+                     "--topics", "10", "--skew", "0.8", "--seed", "42"]) == 0
+        index_file = tmp_path / "other-index.json"
+        assert main(["index", "--corpus", str(other / "corpus.jsonl"),
+                     "--schema", str(other / "schema.json"),
+                     "--index-file", str(index_file)]) == 0
+        capsys.readouterr()
+        args = (["run", "bm25", "--index-file", str(index_file)]
+                + workspace["common"])
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        assert "rerun `fairqr index`" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("masses", [
+        {"male": 0.4, "female": 0.2},                # sums to 0.6
+        {"male": 0.5, "female": 0.3, "other": 0.2},  # label outside schema
+    ])
+    def test_invalid_explicit_target_is_data_error(self, workspace, tmp_path,
+                                                   capsys, masses):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({"q03": {"gender": masses}}))
+        args = (["run", "fairqr", "--targets", str(targets)]
+                + workspace["common"])
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        assert "'q03'" in capsys.readouterr().err
+
+
 class TestEvalCmd:
     def test_self_comparison_t_zero(self, workspace, tmp_path, capsys):
         data = workspace["data"]

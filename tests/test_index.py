@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bm25_reference import reference_ranking, reference_score
 from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
 from fairqr.errors import (
     CorpusLookupError,
@@ -30,8 +31,8 @@ def make_store(texts: dict[str, str]):
 class TestBuild:
     def test_postings_and_stats(self):
         index = build_index(make_store({"d1": "a b", "d2": "b"}))
-        assert index.posting_list("a") == [("d1", 1)]
-        assert index.posting_list("b") == [("d1", 1), ("d2", 1)]
+        assert index.postings["a"] == {"d1": 1}
+        assert index.postings["b"] == {"d1": 1, "d2": 1}
         assert index.avgdl == 1.5
         assert index.n_documents == 2
 
@@ -104,8 +105,23 @@ class TestRetrieve:
             tokens = tokenize(qtext)
             for entry in ranked.entries:
                 assert entry.score == pytest.approx(
-                    bm25_score(index, tokens, entry.doc_id), abs=1e-9
+                    reference_score(index, tokens, entry.doc_id), abs=1e-9
                 )
+
+    @given(
+        st.lists(st.lists(st.sampled_from("abcde"), max_size=6),
+                 min_size=1, max_size=8),
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_matches_reference_on_random_corpora(self, texts, query, pool):
+        index = build_index(make_store(
+            {f"d{i}": " ".join(t) for i, t in enumerate(texts)}
+        ))
+        ranked = retrieve(index, " ".join(query), pool)
+        assert [(e.doc_id, e.score) for e in ranked.entries] == (
+            reference_ranking(index, query, pool)
+        )
 
     def test_ranks_contiguous_scores_nonincreasing(self, synth):
         ranked = retrieve(synth["index"], "topic00", 50)

@@ -191,6 +191,30 @@ class TestFairQRLoop:
         assert trace.records[1].accepted is False
         assert trace.records[1].divergence == trace.records[0].divergence
 
+    def test_unchanged_query_is_not_measured_again(self, monkeypatch):
+        store, index = small_collection()
+        config = RefinerConfig(category="gender", pool_size=3, k=3)
+        retrieved = []
+
+        def counting_retrieve(index, query, *args):
+            retrieved.append(query)
+            return retrieve(index, query, *args)
+
+        monkeypatch.setattr("fairqr.refine.retrieve", counting_retrieve)
+        # every keyword is already in the query, so the refiner returns it
+        refiner = LexiconRefiner({"female": ["solar"], "male": ["power"]})
+        ranked, trace = fair_qr(
+            index, store, "solar power", TARGET, config, refiner, "q1"
+        )
+        assert retrieved == ["solar power"]
+        assert trace.terminal_reason == "no-decrease"
+        first, second = trace.records
+        assert second.query == first.query and not second.accepted
+        assert (second.exposure, second.divergence) == (
+            first.exposure, first.divergence
+        )
+        assert ranked == retrieve(index, "solar power", 3, "q1")
+
     def test_failing_refiner_degrades_to_baseline(self):
         store, index = small_collection()
         config = RefinerConfig(category="gender", pool_size=3, k=3)

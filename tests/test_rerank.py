@@ -1,7 +1,8 @@
 import pytest
 
+from bm25_reference import reference_score
 from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
-from fairqr.index import bm25_score, build_index, make_ranked_list, retrieve
+from fairqr.index import build_index, make_ranked_list, retrieve
 from fairqr.rerank import doc_similarity, mmr_rerank, semantic_rerank
 
 SUBS = ("a", "Unknown")
@@ -15,18 +16,19 @@ def make_store(texts: dict[str, str]):
 class TestSemanticRerank:
     def test_singleton(self):
         index = build_index(make_store({"d1": "a b", "d2": "c"}))
-        out = semantic_rerank(["d1"], "a", index)
+        out = semantic_rerank(make_ranked_list("", [("d1", 1.0)]), "a", index)
         assert out.doc_ids() == ["d1"]
         assert out.entries[0].rank == 1
 
     def test_orders_by_original_query(self):
         index = build_index(make_store({"d1": "a x", "d2": "a a", "d3": "y z"}))
-        out = semantic_rerank(["d1", "d2"], "a", index)
+        pool = make_ranked_list("", [("d1", 2.0), ("d2", 1.0)])
+        out = semantic_rerank(pool, "a", index)
         assert out.doc_ids() == ["d2", "d1"]
 
     def test_empty_set_is_empty(self):
         index = build_index(make_store({"d1": "a"}))
-        assert len(semantic_rerank([], "a", index)) == 0
+        assert len(semantic_rerank(make_ranked_list("", []), "a", index)) == 0
 
     def test_matches_brute_force(self, synth):
         index = synth["index"]
@@ -36,7 +38,7 @@ class TestSemanticRerank:
         tokens = tokenize("topic00")
         expected = sorted(
             pool.doc_ids(),
-            key=lambda d: (-bm25_score(index, tokens, d), d),
+            key=lambda d: (-reference_score(index, tokens, d), d),
         )
         assert out.doc_ids() == expected
 
@@ -45,7 +47,7 @@ class TestSemanticRerank:
         pool = retrieve(index, "topic01 markerfemale", 20, "q01")
         out = semantic_rerank(pool, "topic01", index, "q01")
         tokens = tokenize("topic01")
-        best = max(bm25_score(index, tokens, d) for d in pool.doc_ids())
+        best = max(reference_score(index, tokens, d) for d in pool.doc_ids())
         assert out.entries[0].score == best
 
 
@@ -96,7 +98,7 @@ class TestMMR:
         # independent greedy simulation
         tokens = tokenize("topic02")
         pool = candidates.doc_ids()
-        raw = {d: bm25_score(index, tokens, d) for d in pool}
+        raw = {d: reference_score(index, tokens, d) for d in pool}
         lo, hi = min(raw.values()), max(raw.values())
         rel = {d: (s - lo) / (hi - lo) if hi > lo else 1.0 for d, s in raw.items()}
         chosen = []
