@@ -14,8 +14,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import synthetic
-from .corpus import GroupSchema, load_corpus
-from .errors import FairQRError, IndexBuildError, RefinerError, SchemaError
+from .corpus import load_corpus, tokenize
+from .errors import FairQRError, IndexBuildError, SchemaError, UsageError
 from .evaluation import (
     Significance,
     evaluate_run,
@@ -28,7 +28,7 @@ from .fairness import (
     FairnessTarget,
     target_from_qrels,
 )
-from .index import build_index, load_index, retrieve, save_index
+from .index import RankedList, build_index, load_index, retrieve, save_index
 from .llm import ChatCompletionClient
 from .refine import (
     DEFAULT_PROMPT_TEMPLATE,
@@ -92,17 +92,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
+    flags = vars(args)
+    if flags["config"]:
+        with open(flags["config"], encoding="utf-8") as fh:
             loaded = json.load(fh)
         unknown = set(loaded) - set(CONFIG_FIELDS)
         if unknown:
             raise FairQRError(f"unknown config fields: {sorted(unknown)}")
         config.update(loaded)
     for name in CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            config[name] = value
+        if flags[name] is not None:
+            config[name] = flags[name]
     return config
 
 
@@ -112,19 +112,21 @@ def _require(config: dict, *names: str) -> None:
         raise UsageError(f"missing required config fields: {missing}")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_queries(path) -> list[tuple[str, str]]:
-    """Queries file: TSV lines `query_id<TAB>query text`."""
+    """Queries file: TSV lines `query_id<TAB>query text`; blank lines skipped.
+
+    A line without a tab, or whose text tokenizes to nothing, is a data error.
+    """
     queries = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            query_id, _, text = line.partition("\t")
+            query_id, tab, text = line.partition("\t")
+            if not (tab and tokenize(text)):
+                raise FairQRError(f"{path} line {number}: query {query_id!r} "
+                                  f"has no searchable text after a tab")
             queries.append((query_id, text))
     return queries
 
@@ -150,7 +152,14 @@ def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
     if config.get("targets"):
         with open(config["targets"], encoding="utf-8") as fh:
             explicit = json.load(fh)
+        if not isinstance(explicit, dict):
+            raise FairQRError(f"targets file {config['targets']} is not an "
+                              f"object keyed by query id")
         for query_id, per_cat in explicit.items():
+            if not (isinstance(per_cat, dict)
+                    and isinstance(per_cat.get(category, {}), dict)):
+                raise FairQRError(f"target for query {query_id!r} is not of "
+                                  f"the form {{category: {{subgroup: mass}}}}")
             if category not in per_cat:
                 continue
             masses = per_cat[category]
@@ -241,37 +250,6 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _run_one_query(mode, config, store, index, refiner, qid, qtext, target):
-    """Pipeline for a single query; returns (ranked list, trace dict or None)."""
-    pool = config["pool_size"]
-    k = config["k"]
-    if mode == "bm25":
-        return retrieve(index, qtext, pool, qid), None
-    if mode == "mmr":
-        candidates = retrieve(index, qtext, pool, qid)
-        return mmr_rerank(
-            candidates, qtext, store, index, config["mmr_lambda"], k
-        ), None
-    if mode in ("fairqr", "fairqr-norerank"):
-        if target is None:
-            # no derivable target: degrade to plain retrieval
-            return retrieve(index, qtext, pool, qid), None
-        rcfg = RefinerConfig(
-            category=config["category"],
-            max_iterations=config["max_iterations"],
-            pool_size=pool,
-            k=k,
-            temperature=config["temperature"],
-            weighting=config["weighting"],
-        )
-        fair_set, trace = fair_qr(index, store, qtext, target, rcfg,
-                                  refiner, qid)
-        if mode == "fairqr":
-            return semantic_rerank(fair_set, qtext, index, qid), trace.to_dict()
-        return fair_set, trace.to_dict()
-    raise UsageError(f"unknown mode {mode!r}")
-
-
 def cmd_run(args) -> int:
     config = _merge_config(args)
     mode = args.mode
@@ -279,43 +257,61 @@ def cmd_run(args) -> int:
     store, index = _load_store_and_index(config)
     queries = _load_queries(config["queries"])
     qrels = parse_qrels(config["qrels"]) if config.get("qrels") else Qrels()
+    pool, k = config["pool_size"], config["k"]
+    fair_modes = mode in ("fairqr", "fairqr-norerank")
     targets = {}
-    refiner = None
-    if mode in ("fairqr", "fairqr-norerank"):
+    if fair_modes:
         targets = _targets_for(config, store, qrels, [q for q, _ in queries])
         refiner = _make_refiner(config, store)
-
-    def work(item):
-        qid, qtext = item
-        return qid, _run_one_query(
-            mode, config, store, index, refiner, qid, qtext,
-            targets.get(qid),
+        rcfg = RefinerConfig(
+            category=config["category"],
+            max_iterations=config["max_iterations"],
+            pool_size=pool,
+            k=k,
+            weighting=config["weighting"],
         )
 
-    jobs = max(1, config["jobs"])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(work, queries))
-    else:
-        results = dict(map(work, queries))
+    def work(item):
+        """(query id, (ranked list, trace dict or None)) for one query."""
+        qid, qtext = item
+        target = targets.get(qid)
+        if mode == "mmr":
+            candidates = retrieve(index, qtext, pool, qid)
+            return qid, (mmr_rerank(candidates, qtext, store, index,
+                                    config["mmr_lambda"], k), None)
+        if target is None:  # bm25, or a fairqr mode without a target
+            return qid, (retrieve(index, qtext, pool, qid), None)
+        fair_set, trace = fair_qr(index, store, qtext, target, rcfg,
+                                  refiner, qid)
+        if mode == "fairqr":  # re-rank the k documents measured for fairness
+            top = RankedList(qid, fair_set.entries[:k])
+            fair_set = semantic_rerank(top, qtext, index, qid)
+        return qid, (fair_set, trace.to_dict())
+
+    # Threads overlap LLM calls only; the GIL serialises the scoring.
+    with ThreadPoolExecutor(max_workers=max(1, config["jobs"])) as executor:
+        results = dict(executor.map(work, queries))
 
     run = {qid: ranked for qid, (ranked, _) in results.items()}
     outdir = config["out"]
     os.makedirs(outdir, exist_ok=True)
     run_path = os.path.join(outdir, f"run-{mode}.txt")
     write_run(run, run_path, tag=mode)
-    n_traces = 0
-    if mode in ("fairqr", "fairqr-norerank"):
+    traces = {qid: trace for qid, (_, trace) in results.items() if trace}
+    if fair_modes:
         trace_dir = os.path.join(outdir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
-        for qid, (_, trace) in sorted(results.items()):
-            if trace is None:
-                continue
+        for qid, trace in sorted(traces.items()):
             with open(os.path.join(trace_dir, f"{qid}.json"), "w",
                       encoding="utf-8") as fh:
                 json.dump(trace, fh, indent=2, sort_keys=True)
-            n_traces += 1
-    print(f"wrote {run_path} ({len(run)} queries, {n_traces} traces)")
+    print(f"wrote {run_path} ({len(run)} queries, {len(traces)} traces)")
+    failed = sorted(qid for qid, trace in traces.items() if trace["error"])
+    if failed:
+        print(f"refiner failure: {len(failed)} queries' loops ended on an "
+              f"error, e.g. {failed[0]}: {traces[failed[0]]['error']}",
+              file=sys.stderr)
+        return EXIT_REFINER
     return EXIT_OK
 
 
@@ -406,9 +402,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RefinerError as exc:
-        print(f"refiner failure: {exc}", file=sys.stderr)
-        return EXIT_REFINER
     except (FairQRError, OSError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

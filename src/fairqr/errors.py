@@ -5,6 +5,10 @@ class FairQRError(Exception):
     """Base class for all toolkit errors."""
 
 
+class UsageError(FairQRError, ValueError):
+    """An option or parameter value outside its allowed range."""
+
+
 class IngestionError(FairQRError):
     """Malformed corpus record; carries the offending line number."""
 

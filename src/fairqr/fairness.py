@@ -11,7 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusStore, group_vector
-from .errors import DegenerateExposureError, DimensionError, NoTargetError
+from .errors import (
+    DegenerateExposureError,
+    DimensionError,
+    NoTargetError,
+    UsageError,
+)
 from .index import RankedList
 
 KL_SMOOTHING = 1e-6
@@ -45,7 +50,7 @@ def _position_weights(n: int, weighting: str) -> np.ndarray:
     elif weighting == "log-discount":
         w = 1.0 / np.log2(np.arange(1, n + 1) + 1)
     else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+        raise UsageError(f"unknown weighting {weighting!r}")
     return w / w.sum()
 
 
@@ -65,7 +70,7 @@ def exposure(
     instead of raising, for evaluating externally produced runs.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     top = ranked.entries[:k]
     if not top:
         raise DegenerateExposureError(

@@ -11,7 +11,12 @@ from dataclasses import dataclass, field
 from math import log
 
 from .corpus import CorpusStore, tokenize
-from .errors import CorpusLookupError, EmptyQueryError, IndexBuildError
+from .errors import (
+    CorpusLookupError,
+    EmptyQueryError,
+    IndexBuildError,
+    UsageError,
+)
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -134,7 +139,7 @@ def retrieve(
     Ties break by ascending doc_id; zero-score documents are excluded.
     """
     if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
+        raise UsageError("pool_size must be >= 1")
     tokens = tokenize(query)
     if not tokens:
         raise EmptyQueryError(f"query {query!r} tokenized to nothing")

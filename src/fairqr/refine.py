@@ -12,7 +12,7 @@ query after a `REFINED_QUERY:` marker.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
 from .corpus import CorpusStore, tokenize
@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     RefinerError,
     TemplateError,
+    UsageError,
 )
 from .fairness import (
     ExposureDistribution,
@@ -65,16 +66,21 @@ class RefinerConfig:
     max_iterations: int = 5
     pool_size: int = 100
     k: int = 20
-    temperature: float = 0.3
     weighting: str = "uniform"
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not (0.0 <= self.temperature <= 2.0):
-            raise ValueError("temperature must be in [0, 2]")
+            raise UsageError("max_iterations must be >= 1")
         if self.k > self.pool_size:
-            raise ValueError("k must not exceed pool_size")
+            raise UsageError("k must not exceed pool_size")
+
+
+@dataclass(frozen=True)
+class Refinement:
+    """What one refiner call produced: the query and the raw model reply."""
+
+    query: str
+    raw_response: str = ""
 
 
 @dataclass(frozen=True)
@@ -94,22 +100,16 @@ class RefinementTrace:
     category: str
     records: list[IterationRecord] = field(default_factory=list)
     terminal_reason: str = ""  # no-decrease | max-iterations | target-met
+    error: str = ""  # the failure that ended the loop, if one did
 
     def to_dict(self) -> dict:
         return {
             "query_id": self.query_id,
             "category": self.category,
             "terminal_reason": self.terminal_reason,
+            "error": self.error,
             "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "query": r.query,
-                    "exposure": list(r.exposure),
-                    "divergence": r.divergence,
-                    "subgroup": r.subgroup,
-                    "accepted": r.accepted,
-                    "raw_response": r.raw_response,
-                }
+                {**asdict(r), "exposure": list(r.exposure)}
                 for r in self.records
             ],
         }
@@ -123,7 +123,7 @@ class Refiner(Protocol):
         current: ExposureDistribution,
         top_k: int,
         subgroup: str,
-    ) -> str: ...
+    ) -> Refinement: ...
 
 
 def _render_distribution(subgroups, probabilities) -> str:
@@ -181,22 +181,22 @@ class LexiconRefiner:
     def __init__(self, lexicon: dict[str, list[str]]):
         self.lexicon = lexicon
 
-    def refine(self, query, target, current, top_k, subgroup) -> str:
+    def refine(self, query, target, current, top_k, subgroup) -> Refinement:
         keywords = self.lexicon.get(subgroup)
         if not keywords:
             raise LexiconError(f"no lexicon keywords for subgroup {subgroup!r}")
         present = set(tokenize(query))
         for keyword in keywords:
             if set(tokenize(keyword)) - present:
-                return f"{query} {keyword}"
-        return query
+                return Refinement(f"{query} {keyword}")
+        return Refinement(query)
 
 
 class LLMRefiner:
     """Refiner backed by a chat-completion endpoint.
 
-    Nondeterministic for temperature > 0; the raw model response of the
-    latest call is kept for the trace.
+    Nondeterministic for temperature > 0. Holds only configuration, so one
+    instance can serve concurrent loops.
     """
 
     def __init__(
@@ -206,13 +206,14 @@ class LLMRefiner:
         temperature: float = 0.3,
         template: str = DEFAULT_PROMPT_TEMPLATE,
     ):
+        if not (0.0 <= temperature <= 2.0):
+            raise UsageError("temperature must be in [0, 2]")
         self.client = client
         self.subgroups = tuple(subgroups)
         self.temperature = temperature
         self.template = template
-        self.last_response: str = ""
 
-    def refine(self, query, target, current, top_k, subgroup) -> str:
+    def refine(self, query, target, current, top_k, subgroup) -> Refinement:
         prompt = render_prompt(
             self.template,
             query,
@@ -222,8 +223,9 @@ class LLMRefiner:
             subgroup,
             self.subgroups,
         )
-        self.last_response = self.client.complete(prompt, self.temperature)
-        return parse_refinement(self.last_response, fallback_query=query)
+        response = self.client.complete(prompt, self.temperature)
+        return Refinement(parse_refinement(response, fallback_query=query),
+                          response)
 
 
 def fair_qr(
@@ -237,79 +239,53 @@ def fair_qr(
 ) -> tuple[RankedList, RefinementTrace]:
     """Run the full refinement loop for one query.
 
-    Returns the pool_size-deep retrieval of the best accepted query and the
-    per-iteration trace. Refiner or retrieval failures terminate the loop
-    gracefully with the best set so far.
+    Iteration 0 measures the original query; each later iteration asks the
+    refiner for a new query and measures it. Returns the pool_size-deep
+    retrieval of the best accepted query and the per-iteration trace. A
+    refiner or retrieval failure ends the loop with the best set so far and
+    is named in `trace.error`.
     """
     subgroups = store.schema(target.category).subgroups
-    trace = RefinementTrace(query_id=query_id, category=target.category)
-
-    def measure(q: str):
-        ranked = retrieve(index, q, config.pool_size, query_id)
-        eps = exposure(ranked, store, target.category, config.k, config.weighting)
-        delta = kl_divergence(eps.probabilities, target.target.probabilities)
-        return ranked, eps, delta
-
-    try:
-        best_ranked, best_eps, best_delta = measure(query)
-    except (EmptyQueryError, DegenerateExposureError):
-        trace.terminal_reason = "no-decrease"
-        return make_ranked_list(query_id, []), trace
-
-    trace.records.append(
-        IterationRecord(
-            iteration=0,
-            query=query,
-            exposure=tuple(best_eps.probabilities),
-            divergence=best_delta,
-            subgroup=None,
-            accepted=True,
-        )
-    )
-    if best_delta <= TARGET_MET_TOLERANCE:
-        trace.terminal_reason = "target-met"
-        return best_ranked, trace
-
-    current_query = query
-    for iteration in range(1, config.max_iterations + 1):
-        subgroup = most_underrepresented(
-            best_eps.probabilities, target.target.probabilities, subgroups
-        )
+    goal = target.target.probabilities
+    trace = RefinementTrace(query_id=query_id, category=target.category,
+                            terminal_reason="max-iterations")
+    best_ranked = make_ranked_list(query_id, [])
+    for iteration in range(config.max_iterations + 1):
+        subgroup, step = None, Refinement(query)
         try:
-            refined = refiner.refine(
-                current_query, target, best_eps, config.k, subgroup
-            )
-        except (RefinerError, ParseError):
-            trace.terminal_reason = "no-decrease"
-            return best_ranked, trace
-        if refined == current_query:  # the last accepted query: measured
-            ranked_i, eps_i, delta_i = best_ranked, best_eps, best_delta
+            if iteration:
+                subgroup = most_underrepresented(best_eps.probabilities, goal,
+                                                 subgroups)
+                step = refiner.refine(query, target, best_eps, config.k,
+                                      subgroup)
+            if iteration and step.query == query:  # already measured
+                ranked, eps, delta = best_ranked, best_eps, best_delta
+            else:
+                ranked = retrieve(index, step.query, config.pool_size, query_id)
+                eps = exposure(ranked, store, target.category, config.k,
+                               config.weighting)
+                delta = kl_divergence(eps.probabilities, goal)
+        except (RefinerError, ParseError, EmptyQueryError,
+                DegenerateExposureError) as exc:
+            trace.error = f"{type(exc).__name__}: {exc}"
+            accepted = False
         else:
-            try:
-                ranked_i, eps_i, delta_i = measure(refined)
-            except (EmptyQueryError, DegenerateExposureError):
-                trace.terminal_reason = "no-decrease"
-                return best_ranked, trace
-        accepted = delta_i < best_delta
-        trace.records.append(
-            IterationRecord(
+            accepted = iteration == 0 or delta < best_delta
+            trace.records.append(IterationRecord(
                 iteration=iteration,
-                query=refined,
-                exposure=tuple(eps_i.probabilities),
-                divergence=delta_i,
+                query=step.query,
+                exposure=tuple(eps.probabilities),
+                divergence=delta,
                 subgroup=subgroup,
                 accepted=accepted,
-                raw_response=getattr(refiner, "last_response", ""),
-            )
-        )
+                raw_response=step.raw_response,
+            ))
         if not accepted:
             trace.terminal_reason = "no-decrease"
-            return best_ranked, trace
-        best_ranked, best_eps, best_delta = ranked_i, eps_i, delta_i
-        current_query = refined
+            break
+        # the accepted query is the one the next iteration refines
+        query, best_ranked, best_eps, best_delta = step.query, ranked, eps, delta
         if best_delta <= TARGET_MET_TOLERANCE:
             trace.terminal_reason = "target-met"
-            return best_ranked, trace
-
-    trace.terminal_reason = "max-iterations"
+            break
     return best_ranked, trace

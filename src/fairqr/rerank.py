@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from .corpus import CorpusStore, tokenize
+from .errors import UsageError
 from .index import InvertedIndex, RankedList, bm25_scores, make_ranked_list
 
 
@@ -46,9 +47,9 @@ def mmr_rerank(
     doc_id; the first pick is the most relevant document.
     """
     if not (0.0 <= lam <= 1.0):
-        raise ValueError("lambda must be in [0, 1]")
+        raise UsageError("lambda must be in [0, 1]")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     pool = candidates.doc_ids()
     if not pool:
         return make_ranked_list(candidates.query_id, [])

@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 
 import pytest
 
@@ -129,6 +130,65 @@ class TestRunCmd:
         assert (tmp_path / "run-fairqr.txt").read_bytes() == (
             workspace["runs"] / "run-fairqr.txt"
         ).read_bytes()
+        traces = sorted((workspace["runs"] / "traces").glob("*.json"))
+        assert len(traces) == 10
+        for path in traces:
+            assert (tmp_path / "traces" / path.name).read_bytes() == (
+                path.read_bytes()
+            )
+
+    def test_fairqr_reranks_the_measured_top_k(self, workspace, tmp_path):
+        # at the default pool size (100) the re-ranker must not reach past
+        # the k documents whose exposure the loop measured
+        common = list(workspace["common"])
+        del common[common.index("--pool-size"):common.index("--pool-size") + 2]
+        common[common.index(str(workspace["runs"]))] = str(tmp_path)
+        for mode in ("fairqr", "fairqr-norerank"):
+            assert main(["run", mode] + common) == 0
+        fair = parse_run(tmp_path / "run-fairqr.txt")
+        norerank = parse_run(tmp_path / "run-fairqr-norerank.txt")
+        assert len(fair) == 10
+        for query_id, ranked in fair.items():
+            assert len(ranked) == 20
+            assert set(ranked.doc_ids()) == set(
+                norerank[query_id].doc_ids()[:20])
+
+    def test_dead_llm_endpoint_exits_3_after_writing(self, workspace, tmp_path,
+                                                     monkeypatch, capsys):
+        def down(url, headers, payload):
+            raise ConnectionError("endpoint down")
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr("fairqr.llm._requests_transport", down)
+        monkeypatch.setattr(socket.socket, "connect", no_socket)
+        args = (["run", "fairqr", "--refiner", "llm", "--base-url",
+                 "http://llm.invalid/v1", "--model", "m"] + workspace["common"])
+        args[args.index(str(workspace["runs"]))] = str(tmp_path)
+        assert main(args) == 3
+        assert "refiner failure" in capsys.readouterr().err
+        assert len(parse_run(tmp_path / "run-fairqr.txt")) == 10
+        traces = sorted((tmp_path / "traces").glob("*.json"))
+        assert len(traces) == 10
+        for path in traces:
+            trace = json.loads(path.read_text())
+            assert trace["terminal_reason"] == "no-decrease"
+            assert trace["error"].startswith("RefinerError: chat completion")
+            assert "endpoint down" in trace["error"]
+
+    @pytest.mark.parametrize("mode", ["bm25", "mmr", "fairqr"])
+    @pytest.mark.parametrize("line", ["q00\t!!!", "q00 topic00"])
+    def test_bad_query_line_is_data_error(self, workspace, tmp_path, capsys,
+                                          mode, line):
+        queries = tmp_path / "queries.tsv"
+        queries.write_text(f"q01\ttopic01\n{line}\n")
+        args = ["run", mode] + workspace["common"] + [
+            "--queries", str(queries), "--out", str(tmp_path / "runs")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(queries) in err and "line 2" in err and "'q00" in err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestStaleInputs:
@@ -152,6 +212,7 @@ class TestStaleInputs:
     @pytest.mark.parametrize("masses", [
         {"male": 0.4, "female": 0.2},                # sums to 0.6
         {"male": 0.5, "female": 0.3, "other": 0.2},  # label outside schema
+        ["male"],                                    # not subgroup masses
     ])
     def test_invalid_explicit_target_is_data_error(self, workspace, tmp_path,
                                                    capsys, masses):
@@ -162,6 +223,20 @@ class TestStaleInputs:
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
         assert main(args) == 2
         assert "'q03'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, named", [
+        ([{"q03": {"gender": {"male": 1.0}}}], "targets.json"),
+        ({"q03": ["gender"]}, "'q03'"),
+    ])
+    def test_malformed_targets_file_is_data_error(self, workspace, tmp_path,
+                                                  capsys, content, named):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps(content))
+        args = (["run", "fairqr", "--targets", str(targets)]
+                + workspace["common"])
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestEvalCmd:
@@ -218,6 +293,24 @@ class TestUsage:
 
     def test_unknown_mode_rejected(self):
         assert main(["run", "warp"]) == 1
+
+    @pytest.mark.parametrize("mode, flags", [
+        ("fairqr", ["--refiner", "llm", "--base-url", "http://llm.invalid/v1",
+                    "--model", "m", "--temperature", "3"]),
+        ("fairqr", ["--k", "50", "--pool-size", "20"]),
+        ("fairqr", ["--max-iterations", "0"]),
+        ("fairqr", ["--weighting", "bogus"]),
+        ("mmr", ["--mmr-lambda", "2"]),
+        ("bm25", ["--pool-size", "0"]),
+    ])
+    def test_bad_option_value_is_usage_error(self, workspace, tmp_path,
+                                             capsys, mode, flags):
+        args = ["run", mode] + workspace["common"] + flags
+        args[args.index(str(workspace["runs"]))] = str(tmp_path)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
 
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         data = workspace["data"]

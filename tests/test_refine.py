@@ -1,3 +1,8 @@
+import re
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from fairqr.corpus import GroupSchema, ingest_corpus
@@ -15,6 +20,7 @@ from fairqr.refine import (
     DEFAULT_PROMPT_TEMPLATE,
     LLMRefiner,
     LexiconRefiner,
+    Refinement,
     RefinerConfig,
     fair_qr,
     parse_refinement,
@@ -80,19 +86,21 @@ class TestParseRefinement:
 class TestLexiconRefiner:
     def test_appends_keyword(self):
         refiner = LexiconRefiner({"female": ["women"]})
-        assert refiner.refine("solar power", TARGET, CURRENT, 20, "female") == (
-            "solar power women"
-        )
+        assert refiner.refine(
+            "solar power", TARGET, CURRENT, 20, "female"
+        ).query == "solar power women"
 
     def test_unchanged_when_all_present(self):
         refiner = LexiconRefiner({"female": ["women"]})
-        assert refiner.refine("women rights", TARGET, CURRENT, 20, "female") == (
-            "women rights"
-        )
+        assert refiner.refine(
+            "women rights", TARGET, CURRENT, 20, "female"
+        ).query == "women rights"
 
     def test_skips_present_keywords(self):
         refiner = LexiconRefiner({"female": ["women", "her"]})
-        assert refiner.refine("women x", TARGET, CURRENT, 20, "female") == "women x her"
+        assert refiner.refine(
+            "women x", TARGET, CURRENT, 20, "female"
+        ).query == "women x her"
 
     def test_missing_subgroup_is_error(self):
         refiner = LexiconRefiner({})
@@ -117,10 +125,10 @@ class TestLLMRefiner:
 
         refiner = LLMRefiner(self._client(transport), SUBS, temperature=0.3)
         refined = refiner.refine("solar power", TARGET, CURRENT, 20, "female")
-        assert refined == "solar power women"
+        assert refined.query == "solar power women"
         assert seen["payload"]["temperature"] == 0.3
         assert "it's the subgroup: female" in seen["payload"]["messages"][0]["content"]
-        assert refiner.last_response.endswith("solar power women")
+        assert refined.raw_response == "ok\nREFINED_QUERY: solar power women"
 
     def test_retry_bound(self):
         calls = []
@@ -180,7 +188,7 @@ class TestFairQRLoop:
 
         class Identity:
             def refine(self, query, target, current, top_k, subgroup):
-                return query
+                return Refinement(query)
 
         ranked, trace = fair_qr(
             index, store, "solar power", TARGET, config, Identity(), "q1"
@@ -264,6 +272,51 @@ class TestFairQRLoop:
                 "no-decrease", "max-iterations", "target-met"
             )
 
+    def test_shared_llm_refiner_traces_its_own_replies(self, synth,
+                                                       monkeypatch):
+        # 8 threads share one LLMRefiner; retrieval is slowed so that other
+        # threads' model calls land between a call and its trace record
+        store, index, lexicon = synth["store"], synth["index"], synth["lexicon"]
+        asked = re.compile(r"documents of query: (.*?) are from diverse.*"
+                           r"it's the subgroup: (.*?)\. Show me", re.S)
+
+        def reply(query, subgroup):
+            return f"For {query!r}:\nREFINED_QUERY: {query} {lexicon[subgroup][0]}"
+
+        def transport(url, headers, payload):
+            query, subgroup = asked.search(
+                payload["messages"][0]["content"]).groups()
+            return {"choices": [{"message": {"content": reply(query, subgroup)}}]}
+
+        def slow_retrieve(*args):
+            time.sleep(0.002)
+            return retrieve(*args)
+
+        monkeypatch.setattr("fairqr.refine.retrieve", slow_retrieve)
+        refiner = LLMRefiner(
+            ChatCompletionClient("http://stub", "m", transport=transport), SUBS)
+        config = RefinerConfig(category="gender", pool_size=20, k=20)
+
+        def loop(item):
+            query_id, qtext = item
+            target = target_from_qrels(synth["qrels"], store, query_id, "gender")
+            return fair_qr(index, store, qtext, target, config, refiner,
+                           query_id)[1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                traces = list(executor.map(loop, synth["queries"] * 4,
+                                           timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        pairs = [(prev, record) for trace in traces
+                 for prev, record in zip(trace.records, trace.records[1:])]
+        assert len(pairs) >= 20
+        for prev, record in pairs:
+            assert record.raw_response == reply(prev.query, record.subgroup)
+
     def test_deterministic_end_to_end(self, synth):
         store, index = synth["store"], synth["index"]
         target = target_from_qrels(synth["qrels"], store, "q00", "gender")
@@ -279,6 +332,7 @@ class TestRefinerConfig:
         with pytest.raises(ValueError):
             RefinerConfig(category="g", max_iterations=0)
         with pytest.raises(ValueError):
-            RefinerConfig(category="g", temperature=3.0)
-        with pytest.raises(ValueError):
             RefinerConfig(category="g", k=50, pool_size=20)
+        with pytest.raises(ValueError):
+            LLMRefiner(ChatCompletionClient("http://stub", "m"), SUBS,
+                       temperature=3.0)
