@@ -28,12 +28,13 @@ from .fairness import (
     FairnessTarget,
     target_from_qrels,
 )
-from .index import RankedList, build_index, load_index, retrieve, save_index
+from .index import build_index, load_index, retrieve, save_index
 from .llm import ChatCompletionClient
 from .refine import (
     DEFAULT_PROMPT_TEMPLATE,
     LLMRefiner,
     LexiconRefiner,
+    RefinementTrace,
     RefinerConfig,
     fair_qr,
 )
@@ -115,9 +116,11 @@ def _require(config: dict, *names: str) -> None:
 def _load_queries(path) -> list[tuple[str, str]]:
     """Queries file: TSV lines `query_id<TAB>query text`; blank lines skipped.
 
-    A line without a tab, or whose text tokenizes to nothing, is a data error.
+    A line without a tab, whose text tokenizes to nothing, or whose query id
+    an earlier line already used, is a data error.
     """
     queries = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -127,6 +130,11 @@ def _load_queries(path) -> list[tuple[str, str]]:
             if not (tab and tokenize(text)):
                 raise FairQRError(f"{path} line {number}: query {query_id!r} "
                                   f"has no searchable text after a tab")
+            if query_id in first_line:
+                raise FairQRError(f"{path} line {number}: query id "
+                                  f"{query_id!r} repeats line "
+                                  f"{first_line[query_id]}")
+            first_line[query_id] = number
             queries.append((query_id, text))
     return queries
 
@@ -259,7 +267,6 @@ def cmd_run(args) -> int:
     qrels = parse_qrels(config["qrels"]) if config.get("qrels") else Qrels()
     pool, k = config["pool_size"], config["k"]
     fair_modes = mode in ("fairqr", "fairqr-norerank")
-    targets = {}
     if fair_modes:
         targets = _targets_for(config, store, qrels, [q for q, _ in queries])
         refiner = _make_refiner(config, store)
@@ -274,18 +281,22 @@ def cmd_run(args) -> int:
     def work(item):
         """(query id, (ranked list, trace dict or None)) for one query."""
         qid, qtext = item
-        target = targets.get(qid)
         if mode == "mmr":
             candidates = retrieve(index, qtext, pool, qid)
             return qid, (mmr_rerank(candidates, qtext, store, index,
                                     config["mmr_lambda"], k), None)
-        if target is None:  # bm25, or a fairqr mode without a target
+        if mode == "bm25":
             return qid, (retrieve(index, qtext, pool, qid), None)
-        fair_set, trace = fair_qr(index, store, qtext, target, rcfg,
-                                  refiner, qid)
+        target = targets.get(qid)
+        if target is None:  # nothing to refine towards: the query as given
+            fair_set = retrieve(index, qtext, pool, qid)
+            trace = RefinementTrace(qid, rcfg.category,
+                                    terminal_reason="no-target")
+        else:
+            fair_set, trace = fair_qr(index, store, qtext, target, rcfg,
+                                      refiner, qid)
         if mode == "fairqr":  # re-rank the k documents measured for fairness
-            top = RankedList(qid, fair_set.entries[:k])
-            fair_set = semantic_rerank(top, qtext, index, qid)
+            fair_set = semantic_rerank(fair_set.top(k), qtext, index, qid)
         return qid, (fair_set, trace.to_dict())
 
     # Threads overlap LLM calls only; the GIL serialises the scoring.

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import CorpusStore
 from .errors import InputError, NoTargetError
@@ -27,8 +26,8 @@ def ndcg_at_k(ranked: RankedList, qrels: Qrels, query_id: str, k: int) -> float:
     if idcg == 0.0:
         return 0.0
     dcg = sum(
-        judged.get(entry.doc_id, 0) / math.log2(rank + 1)
-        for rank, entry in enumerate(ranked.entries[:k], start=1)
+        judged.get(doc_id, 0) / math.log2(rank + 1)
+        for rank, doc_id in enumerate(ranked.ids[:k], start=1)
     )
     return dcg / idcg
 
@@ -60,6 +59,8 @@ def paired_t_test(a, b) -> tuple[float, float]:
         if mean == 0.0:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
+    from scipy.special import betainc  # scipy is loaded only for this test
+
     t = mean / (sd / math.sqrt(n))
     df = n - 1
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))

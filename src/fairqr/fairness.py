@@ -71,7 +71,7 @@ def exposure(
     """
     if k < 1:
         raise UsageError("k must be >= 1")
-    top = ranked.entries[:k]
+    top = ranked.ids[:k]
     if not top:
         raise DegenerateExposureError(
             f"empty ranked list for query {ranked.query_id!r}"
@@ -86,7 +86,7 @@ def exposure(
             return v
         return group_vector(store, doc_id, category)
 
-    vectors = np.stack([vector(e.doc_id) for e in top])
+    vectors = np.stack([vector(doc_id) for doc_id in top])
     return ExposureDistribution(category, weights @ vectors)
 
 

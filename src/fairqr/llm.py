@@ -9,8 +9,6 @@ from __future__ import annotations
 import os
 from typing import Callable
 
-import requests
-
 from .errors import RefinerError
 
 API_KEY_ENV = "FAIRQR_API_KEY"
@@ -20,6 +18,8 @@ Transport = Callable[[str, dict, dict], dict]
 
 
 def _requests_transport(url: str, headers: dict, payload: dict) -> dict:
+    import requests  # loaded only when an LLM endpoint is called
+
     resp = requests.post(url, headers=headers, json=payload, timeout=60)
     resp.raise_for_status()
     return resp.json()
@@ -62,9 +62,8 @@ class ChatCompletionClient:
             try:
                 body = self.transport(url, headers, payload)
                 return body["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, TypeError,
-                    ConnectionError, OSError) as exc:
-                last_error = exc
+            except (KeyError, IndexError, TypeError, OSError) as exc:
+                last_error = exc  # OSError covers requests.RequestException
         raise RefinerError(
             f"chat completion failed after {1 + self.max_retries} attempts: "
             f"{last_error}"

@@ -83,7 +83,7 @@ class Refinement:
     raw_response: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     iteration: int           # 0 = original query
     query: str
@@ -99,7 +99,8 @@ class RefinementTrace:
     query_id: str
     category: str
     records: list[IterationRecord] = field(default_factory=list)
-    terminal_reason: str = ""  # no-decrease | max-iterations | target-met
+    # no-decrease | max-iterations | target-met | no-target (never refined)
+    terminal_reason: str = ""
     error: str = ""  # the failure that ended the loop, if one did
 
     def to_dict(self) -> dict:
@@ -274,7 +275,7 @@ def fair_qr(
             trace.records.append(IterationRecord(
                 iteration=iteration,
                 query=step.query,
-                exposure=tuple(eps.probabilities),
+                exposure=tuple(eps.probabilities.tolist()),
                 divergence=delta,
                 subgroup=subgroup,
                 accepted=accepted,

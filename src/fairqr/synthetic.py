@@ -145,7 +145,9 @@ def _filler(
     """Filler words, optionally plus two cross-topic terms so off-topic
     documents can match a topic query weakly."""
     words = [rng.choice(FILLER_VOCAB) for _ in range(n)]
-    others = [t for t in range(spec.topic_count) if t != topic]
-    if cross_topic and others:
-        words += [_topic_term(rng.choice(others)) for _ in range(2)]
+    if cross_topic and spec.topic_count > 1:
+        for _ in range(2):
+            # the o-th topic other than this one; same draw as rng.choice
+            o = rng.randrange(spec.topic_count - 1)
+            words.append(_topic_term(o + (o >= topic)))
     return words

@@ -1,12 +1,15 @@
 import json
 import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import fairqr
 from fairqr.cli import main
 from fairqr.corpus import load_corpus
-from fairqr.index import load_index, retrieve
+from fairqr.index import build_index, load_index, retrieve
 from fairqr.trec import parse_run
 
 
@@ -75,10 +78,8 @@ class TestRunCmd:
     def test_bm25_rows_replay(self, workspace):
         data = workspace["data"]
         run = parse_run(workspace["runs"] / "run-bm25.txt")
-        store = load_corpus(data / "corpus.jsonl", data / "schema.json")
-        from fairqr.index import build_index
-
-        index = build_index(store)
+        index = build_index(load_corpus(data / "corpus.jsonl",
+                                        data / "schema.json"))
         for query_id, ranked in run.items():
             topic = query_id.replace("q", "topic")
             assert ranked == retrieve(index, topic, 20, query_id)
@@ -178,7 +179,8 @@ class TestRunCmd:
             assert "endpoint down" in trace["error"]
 
     @pytest.mark.parametrize("mode", ["bm25", "mmr", "fairqr"])
-    @pytest.mark.parametrize("line", ["q00\t!!!", "q00 topic00"])
+    @pytest.mark.parametrize("line", ["q00\t!!!", "q00 topic00",
+                                      "q01\ttopic00"])
     def test_bad_query_line_is_data_error(self, workspace, tmp_path, capsys,
                                           mode, line):
         queries = tmp_path / "queries.tsv"
@@ -187,8 +189,29 @@ class TestRunCmd:
             "--queries", str(queries), "--out", str(tmp_path / "runs")]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert str(queries) in err and "line 2" in err and "'q00" in err
+        assert str(queries) in err and "line 2" in err
+        assert f"'{line[:3]}" in err
         assert not (tmp_path / "runs").exists()
+
+    def test_query_without_target_is_traced_at_the_mode_depth(
+            self, workspace, tmp_path):
+        # q99 has no qrels, so no fairness target; default pool size (100)
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("q00\ttopic00\nq99\ttopic01\n")
+        common = list(workspace["common"])
+        del common[common.index("--pool-size"):common.index("--pool-size") + 2]
+        common += ["--queries", str(queries), "--out", str(tmp_path)]
+        data = workspace["data"]
+        index = build_index(load_corpus(data / "corpus.jsonl",
+                                        data / "schema.json"))
+        for mode, depth in (("fairqr", 20), ("fairqr-norerank", 100)):
+            assert main(["run", mode] + common) == 0
+            run = parse_run(tmp_path / f"run-{mode}.txt")
+            assert run["q99"] == retrieve(index, "topic01", depth, "q99")
+            assert (len(run["q99"]) > 20) == (mode == "fairqr-norerank")
+            trace = json.loads((tmp_path / "traces" / "q99.json").read_text())
+            assert trace["terminal_reason"] == "no-target"
+            assert trace["iterations"] == [] and trace["error"] == ""
 
 
 class TestStaleInputs:
@@ -285,6 +308,17 @@ class TestEvalCmd:
         assert len(report["rows"]) == 10
         mean = sum(r["ndcg"] for r in report["rows"]) / 10
         assert abs(report["aggregates"]["ndcg"] - mean) < 1e-9
+
+
+class TestStartup:
+    def test_import_loads_neither_scipy_nor_requests(self):
+        src = os.path.dirname(os.path.dirname(fairqr.__file__))
+        code = ("import sys, fairqr, fairqr.cli; print(sorted({m.split('.')[0]"
+                " for m in sys.modules} & {'scipy', 'requests'}))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
 
 
 class TestUsage:

@@ -1,4 +1,8 @@
+import json
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -16,6 +20,7 @@ from fairqr.index import (
     bm25_score,
     build_index,
     load_index,
+    make_ranked_list,
     retrieve,
     save_index,
 )
@@ -89,6 +94,17 @@ class TestRetrieve:
         index = build_index(make_store({"d2": "q", "d1": "q", "d3": "x"}))
         assert retrieve(index, "q", 10).doc_ids() == ["d1", "d2"]
 
+    def test_ties_straddling_the_pool_cut_keep_lowest_doc_ids(self):
+        index = build_index(make_store({
+            "d4": "q", "d2": "q", "d9": "q q q", "d3": "q", "d1": "q"}))
+        assert retrieve(index, "q", 3).doc_ids() == ["d9", "d1", "d2"]
+        assert retrieve(index, "q x", 2).doc_ids() == ["d9", "d1"]
+
+    def test_corpus_without_tokens_retrieves_nothing(self):
+        index = build_index(make_store({"d1": "!!!", "d2": "..."}))
+        assert index.avgdl == 0.0
+        assert len(retrieve(index, "a", 5)) == 0
+
     def test_pool_larger_than_matches(self):
         index = build_index(make_store({"d1": "q", "d2": "q r", "d3": "s"}))
         assert len(retrieve(index, "q", 100)) == 2
@@ -123,6 +139,22 @@ class TestRetrieve:
             reference_ranking(index, query, pool)
         )
 
+    def test_concurrent_first_use_matches_sequential(self, synth):
+        queries = [f"{q} {m}" for _, q in synth["queries"]
+                   for m in ("", "markerfemale", "markermale report")]
+        expected = [retrieve(build_index(synth["store"]), q, 30) for q in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                index = build_index(synth["store"])  # no term computed yet
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(retrieve, index, q, 30)
+                               for q in queries]
+                    assert [f.result(timeout=60) for f in futures] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_ranks_contiguous_scores_nonincreasing(self, synth):
         ranked = retrieve(synth["index"], "topic00", 50)
         ranks = [e.rank for e in ranked.entries]
@@ -135,6 +167,29 @@ class TestRetrieve:
         b = retrieve(synth["index"], "topic01", 30)
         assert a == b
 
+    def test_top_is_the_leading_entries(self, synth):
+        ranked = retrieve(synth["index"], "topic01", 30, "q1")
+        top = ranked.top(5)
+        assert top == make_ranked_list(
+            "q1", [(e.doc_id, e.score) for e in ranked.entries[:5]])
+        assert [e.rank for e in top.entries] == [1, 2, 3, 4, 5]
+
+    def test_kept_results_hold_no_per_entry_objects(self, synth):
+        # A run keeps every query's list: with one object and one boxed float
+        # per entry a 20-deep list held 2.7 KB, as ids plus doubles 0.6 KB.
+        retrieve(synth["index"], "topic01", 20)  # the term's arrays
+        kept = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                kept.append(retrieve(synth["index"], "topic01", 20))
+            per_list = (tracemalloc.get_traced_memory()[0] - before) / 100
+        finally:
+            tracemalloc.stop()
+        assert len(kept[0]) == 20
+        assert per_list < 1000
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path, synth):
@@ -145,6 +200,21 @@ class TestPersistence:
         assert retrieve(loaded, "topic00", 20) == retrieve(
             synth["index"], "topic00", 20
         )
+
+    def test_unsorted_postings_file_scores_the_same(self, tmp_path, synth):
+        path = tmp_path / "index.json"
+        save_index(synth["index"], path)
+        payload = json.loads(path.read_text())
+        payload["postings"] = {term: dict(reversed(docs.items()))
+                               for term, docs in payload["postings"].items()}
+        path.write_text(json.dumps(payload))
+        loaded = load_index(path)
+        for query in ("topic00", "topic01 markerfemale"):
+            ranked = retrieve(loaded, query, 50)
+            assert ranked == retrieve(synth["index"], query, 50)
+            tokens = tokenize(query)
+            assert [bm25_score(loaded, tokens, d) for d in ranked.doc_ids()] == [
+                e.score for e in ranked.entries]
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "not-index.json"

@@ -142,6 +142,23 @@ class TestLLMRefiner:
             refiner.refine("q", TARGET, CURRENT, 20, "female")
         assert len(calls) == 3  # 1 attempt + 2 retries
 
+    @pytest.mark.parametrize("error", [
+        "HTTPError", "ConnectionError", "Timeout", "JSONDecodeError"])
+    def test_requests_errors_are_retried(self, error):
+        requests = pytest.importorskip("requests")
+        calls = []
+
+        def transport(url, headers, payload):
+            calls.append(1)
+            if error == "JSONDecodeError":
+                raise requests.JSONDecodeError("bad body", "<html>", 0)
+            raise getattr(requests, error)("down")
+
+        refiner = LLMRefiner(self._client(transport), SUBS)
+        with pytest.raises(RefinerError):
+            refiner.refine("q", TARGET, CURRENT, 20, "female")
+        assert len(calls) == 3
+
     def test_markerless_response_is_parse_error(self):
         def transport(url, headers, payload):
             return self._response("no marker at all")
