@@ -36,7 +36,6 @@ from .fairness import (
 from .index import (
     InvertedIndex,
     RankedList,
-    bm25_score,
     build_index,
     load_index,
     retrieve,
@@ -51,7 +50,7 @@ from .refine import (
     parse_refinement,
     render_prompt,
 )
-from .rerank import doc_similarity, mmr_rerank, semantic_rerank
+from .rerank import mmr_rerank, semantic_rerank
 from .synthetic import SkewSpec, generate
 from .trec import Qrels, parse_qrels, parse_run, write_qrels, write_run
 
@@ -64,11 +63,11 @@ __all__ = [
     "ExposureDistribution", "FairnessTarget", "awrf", "exposure",
     "js_divergence", "kl_divergence", "most_underrepresented",
     "target_from_qrels",
-    "InvertedIndex", "RankedList", "bm25_score", "build_index", "load_index",
-    "retrieve", "save_index",
+    "InvertedIndex", "RankedList", "build_index", "load_index", "retrieve",
+    "save_index",
     "LLMRefiner", "LexiconRefiner", "RefinementTrace", "RefinerConfig",
     "fair_qr", "parse_refinement", "render_prompt",
-    "doc_similarity", "mmr_rerank", "semantic_rerank",
+    "mmr_rerank", "semantic_rerank",
     "SkewSpec", "generate",
     "Qrels", "parse_qrels", "parse_run", "write_qrels", "write_run",
 ]

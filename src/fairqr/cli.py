@@ -97,9 +97,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if flags["config"]:
         with open(flags["config"], encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(loaded) - set(CONFIG_FIELDS)
         if unknown:
             raise FairQRError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in loaded.items():
+            typ = CONFIG_FIELDS[name]
+            allowed = (int, float) if typ is float else typ
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise UsageError(f"config field {name!r} must be "
+                                 f"{typ.__name__}, got {value!r}")
         config.update(loaded)
     for name in CONFIG_FIELDS:
         if flags[name] is not None:

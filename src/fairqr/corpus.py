@@ -63,7 +63,7 @@ class GroupSchema:
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One corpus document with per-category subgroup labels."""
 
@@ -109,6 +109,8 @@ def ingest_corpus(
     and duplicate ids are rejected.
     """
     store = CorpusStore(schemas={s.category: s for s in schemas})
+    # Few distinct label sets, many documents: each document shares one.
+    label_sets: dict[frozenset[str], frozenset[str]] = {}
     for line_no, record in enumerate(records, start=1):
         if not isinstance(record, dict):
             raise IngestionError("record is not an object", line_no)
@@ -132,7 +134,8 @@ def ingest_corpus(
                         f"subgroup {label!r} not in category {category!r} "
                         f"(document {doc_id!r})"
                     )
-            groups[category] = frozenset(labels)
+            labels = frozenset(labels)
+            groups[category] = label_sets.setdefault(labels, labels)
         doc = Document(id=doc_id, text=text, groups=groups)
         store.documents[doc_id] = doc
         store.total_tokens += len(tokenize(text))
@@ -152,15 +155,6 @@ def group_vector(store: CorpusStore, doc_id: str, category: str) -> np.ndarray:
     for label in labels:
         vec[schema.index(label)] = share
     return vec
-
-
-def document_record(doc: Document) -> dict:
-    """Serialize a document back to its JSONL record form."""
-    return {
-        "id": doc.id,
-        "text": doc.text,
-        "groups": {cat: sorted(labels) for cat, labels in sorted(doc.groups.items())},
-    }
 
 
 def read_jsonl(path) -> Iterator[dict]:

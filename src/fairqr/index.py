@@ -190,11 +190,6 @@ def bm25_scores(
     return np.where(pos[at] == wanted, scores[at], 0.0).tolist()
 
 
-def bm25_score(index: InvertedIndex, query_tokens: list[str], doc_id: str) -> float:
-    """Sum of per-term BM25 contributions over distinct query terms."""
-    return bm25_scores(index, query_tokens, [doc_id])[0]
-
-
 def retrieve(
     index: InvertedIndex, query: str, pool_size: int, query_id: str = ""
 ) -> RankedList:

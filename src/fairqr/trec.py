@@ -78,7 +78,7 @@ def write_run(run: dict[str, RankedList], path, tag: str = "fairqr") -> None:
 
 def parse_run(path) -> dict[str, RankedList]:
     """Parse a TREC run file back into per-query ranked lists."""
-    rows: dict[str, list[tuple[int, str, float]]] = {}
+    rows: dict[str, dict[str, tuple[int, float]]] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -97,10 +97,14 @@ def parse_run(path) -> dict[str, RankedList]:
                 raise RunFileError(
                     f"bad rank/score {rank_s!r}/{score_s!r}", line_no
                 ) from None
-            rows.setdefault(query_id, []).append((rank, doc_id, score))
+            ranked = rows.setdefault(query_id, {})
+            if doc_id in ranked:
+                raise RunFileError(f"document {doc_id!r} listed twice for "
+                                   f"query {query_id!r}", line_no)
+            ranked[doc_id] = (rank, score)
     run: dict[str, RankedList] = {}
-    for query_id, entries in rows.items():
-        entries.sort()
+    for query_id, ranked in rows.items():
+        entries = sorted((r, d, s) for d, (r, s) in ranked.items())
         ranks = [r for r, _, _ in entries]
         if ranks != list(range(1, len(ranks) + 1)):
             raise RunFileError(

@@ -1,6 +1,6 @@
 """Per-document Lucene BM25, written apart from `fairqr.index`'s scoring core.
 
-Tests compare `retrieve`, `bm25_score` and the re-rankers against these
+Tests compare `retrieve`, `bm25_scores` and the re-rankers against these
 functions. They read only the index's postings and document statistics.
 """
 from math import log

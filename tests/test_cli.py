@@ -310,6 +310,25 @@ class TestEvalCmd:
         assert abs(report["aggregates"]["ndcg"] - mean) < 1e-9
 
 
+    def test_run_listing_a_document_twice_is_data_error(self, workspace,
+                                                          tmp_path, capsys):
+        data = workspace["data"]
+        first = (workspace["runs"] / "run-bm25.txt").read_text().splitlines()[0]
+        query_id, _, doc_id, _, score, tag = first.split()
+        run = tmp_path / "dup.txt"
+        run.write_text(f"{first}\n{query_id} Q0 {doc_id} 2 {score} {tag}\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text(f"{query_id} 0 {doc_id} 1\n")
+        assert main(["eval", str(run),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--schema", str(data / "schema.json"),
+                     "--qrels", str(qrels), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"document {doc_id!r} listed twice for query {query_id!r}" in err
+        assert not (tmp_path / "report-dup.json").exists()
+
+
 class TestStartup:
     def test_import_loads_neither_scipy_nor_requests(self):
         src = os.path.dirname(os.path.dirname(fairqr.__file__))
@@ -345,6 +364,42 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode, loaded, field", [
+        ("mmr", {"k": "20"}, "k"),
+        ("bm25", {"jobs": "2"}, "jobs"),
+        ("bm25", {"pool_size": 20.0}, "pool_size"),
+        ("bm25", {"pool_size": True}, "pool_size"),
+        ("mmr", {"mmr_lambda": False}, "mmr_lambda"),
+        ("mmr", {"mmr_lambda": "0.5"}, "mmr_lambda"),
+        ("bm25", {"out": 5}, "out"),
+        ("bm25", {"seed": None}, "seed"),
+        ("bm25", ["k"], None),
+        ("bm25", 5, None),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(
+            self, workspace, tmp_path, capsys, mode, loaded, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(loaded))
+        args = ["run", mode, "--config", str(config_path)] + workspace["common"]
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "out")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert repr(field) in err if field else "JSON object" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_accepts_an_int_for_a_float(self, workspace, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"mmr_lambda": 1}))
+        args = ["run", "mmr", "--config", str(config_path)] + workspace["common"]
+        args[args.index(str(workspace["runs"]))] = str(tmp_path)
+        assert main(args) == 0
+        # lambda 1 is relevance order: the bm25 run's documents
+        mmr = parse_run(tmp_path / "run-mmr.txt")
+        bm25 = parse_run(workspace["runs"] / "run-bm25.txt")
+        assert {q: r.ids for q, r in mmr.items()} == {
+            q: r.ids for q, r in bm25.items()}
 
     def test_config_file_with_flag_override(self, workspace, tmp_path):
         data = workspace["data"]

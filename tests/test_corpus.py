@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fairqr.corpus import (
     GroupSchema,
-    document_record,
     group_vector,
     ingest_corpus,
     tokenize,
@@ -98,13 +97,30 @@ class TestIngest:
             {"id": "d1", "text": "Solar!", "groups": {"gender": ["female", "male"]}},
             {"id": "d2", "text": "wind", "groups": {}},
         ]
+        def record(doc):
+            return {"id": doc.id, "text": doc.text,
+                    "groups": {c: sorted(g) for c, g in sorted(doc.groups.items())}}
+
         store = ingest_corpus(records, [GENDER])
-        serialized = [document_record(store.documents[d]) for d in sorted(store.documents)]
+        serialized = [record(store.documents[d]) for d in sorted(store.documents)]
         store2 = ingest_corpus(serialized, [GENDER])
-        serialized2 = [document_record(store2.documents[d]) for d in sorted(store2.documents)]
+        serialized2 = [record(store2.documents[d]) for d in sorted(store2.documents)]
         assert serialized == serialized2
         for doc_id in store.documents:
             assert store.documents[doc_id] == store2.documents[doc_id]
+
+
+    def test_documents_share_label_sets(self):
+        records = [
+            {"id": "d1", "text": "a", "groups": {"gender": ["female", "male"]}},
+            {"id": "d2", "text": "b", "groups": {"gender": ["male", "female"]}},
+            {"id": "d3", "text": "c", "groups": {}},
+            {"id": "d4", "text": "d", "groups": {"gender": ["Unknown"]}},
+        ]
+        docs = ingest_corpus(records, [GENDER]).documents
+        assert docs["d1"].groups["gender"] is docs["d2"].groups["gender"]
+        assert docs["d3"].groups["gender"] is docs["d4"].groups["gender"]
+        assert not hasattr(docs["d1"], "__dict__")
 
 
 class TestGroupVector:

@@ -235,6 +235,13 @@ class TestTrecFormats:
         with pytest.raises(RunFileError, match="line 2"):
             parse_run(path)
 
+    def test_run_listing_a_document_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("q1 Q0 d1 1 2.0 t\nq2 Q0 d1 1 2.0 t\nq1 Q0 d1 2 1.0 t\n")
+        with pytest.raises(RunFileError, match="line 3: document 'd1' listed "
+                                               "twice for query 'q1'"):
+            parse_run(path)
+
     def test_malformed_qrels_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("q1 0 d1 notanumber\n")

@@ -17,7 +17,7 @@ from fairqr.errors import (
 )
 from fairqr.index import (
     InvertedIndex,
-    bm25_score,
+    bm25_scores,
     build_index,
     load_index,
     make_ranked_list,
@@ -57,32 +57,33 @@ class TestBuild:
 class TestScore:
     def test_absent_term_contributes_zero(self):
         index = build_index(make_store({"d1": "a", "d2": "a b"}))
-        with_b = bm25_score(index, ["a", "b"], "d1")
-        without = bm25_score(index, ["a"], "d1")
+        with_b = bm25_scores(index, ["a", "b"], ["d1"])[0]
+        without = bm25_scores(index, ["a"], ["d1"])[0]
         assert with_b == without
 
     def test_hand_computed_tf1(self):
         # N=2, df=1, tf=1, dl=avgdl: idf = ln 2; tf part = 2.2/2.2 = 1
         index = build_index(make_store({"d1": "q x", "d2": "y z"}))
-        assert bm25_score(index, ["q"], "d1") == pytest.approx(
+        assert bm25_scores(index, ["q"], ["d1"])[0] == pytest.approx(
             math.log(2.0), abs=1e-4
         )
 
     def test_hand_computed_tf2(self):
         # tf=2 at dl=avgdl: ln 2 * (2*2.2)/(2+1.2) = 0.95308
         index = build_index(make_store({"d1": "q q", "d2": "y z"}))
-        assert bm25_score(index, ["q"], "d1") == pytest.approx(0.95308, abs=1e-4)
+        assert bm25_scores(index, ["q"], ["d1"])[0] == pytest.approx(0.95308, abs=1e-4)
 
     def test_unknown_doc_raises(self):
         index = build_index(make_store({"d1": "a"}))
         with pytest.raises(CorpusLookupError):
-            bm25_score(index, ["a"], "nope")
+            bm25_scores(index, ["a"], ["nope"])
 
     @given(st.integers(min_value=1, max_value=20))
     def test_monotone_in_tf(self, tf):
         base = build_index(make_store({"d1": "q " * tf, "d2": "pad pad pad"}))
         more = build_index(make_store({"d1": "q " * (tf + 1), "d2": "pad pad pad"}))
-        assert bm25_score(more, ["q"], "d1") >= bm25_score(base, ["q"], "d1")
+        assert (bm25_scores(more, ["q"], ["d1"])[0]
+                >= bm25_scores(base, ["q"], ["d1"])[0])
 
 
 class TestRetrieve:
@@ -213,7 +214,7 @@ class TestPersistence:
             ranked = retrieve(loaded, query, 50)
             assert ranked == retrieve(synth["index"], query, 50)
             tokens = tokenize(query)
-            assert [bm25_score(loaded, tokens, d) for d in ranked.doc_ids()] == [
+            assert bm25_scores(loaded, tokens, ranked.doc_ids()) == [
                 e.score for e in ranked.entries]
 
     def test_rejects_foreign_file(self, tmp_path):

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bm25_reference import reference_score
 from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
 from fairqr.index import build_index, make_ranked_list, retrieve
-from fairqr.rerank import doc_similarity, mmr_rerank, semantic_rerank
+from fairqr.rerank import mmr_rerank, semantic_rerank
+from mmr_reference import exhaustive_mmr, jaccard
 
 SUBS = ("a", "Unknown")
 
@@ -52,17 +55,37 @@ class TestSemanticRerank:
 
 
 class TestDocSimilarity:
+    """MMR's similarity, read from the second pick's score at lambda 0.
+
+    d1 is the more relevant document (or ties and sorts first), so it is
+    picked first and d2's marginal score is -Jaccard(d1, d2).
+    """
+
+    @staticmethod
+    def penalty(d1_text, d2_text):
+        store = make_store({"d1": d1_text, "d2": d2_text})
+        pool = make_ranked_list("", [("d1", 1.0), ("d2", 0.5)])
+        out = mmr_rerank(pool, "a", store, build_index(store), 0.0, 2)
+        assert out.doc_ids() == ["d1", "d2"]
+        return -out.scores[1]
+
     def test_identical(self):
-        store = make_store({"d1": "a b c", "d2": "c a b"})
-        assert doc_similarity(store, "d1", "d2") == 1.0
+        assert self.penalty("a b c", "c a b") == 1.0
 
     def test_disjoint(self):
-        store = make_store({"d1": "a b", "d2": "c d"})
-        assert doc_similarity(store, "d1", "d2") == 0.0
+        assert self.penalty("a b", "c d") == 0.0
 
     def test_jaccard(self):
-        store = make_store({"d1": "a b c", "d2": "b c d"})
-        assert doc_similarity(store, "d1", "d2") == 0.5
+        assert self.penalty("a b c", "b c d") == 0.5
+
+    def test_both_empty(self):
+        assert self.penalty("", "!") == 1.0
+
+    def test_oracle(self):
+        store = make_store({"d1": "a b c", "d2": "b c d", "d3": "", "d4": ""})
+        assert jaccard(store, "d1", "d2") == 0.5
+        assert jaccard(store, "d1", "d3") == 0.0
+        assert jaccard(store, "d3", "d4") == 1.0
 
 
 class TestMMR:
@@ -92,28 +115,48 @@ class TestMMR:
     def test_matches_exhaustive_greedy(self, synth):
         store, index = synth["store"], synth["index"]
         candidates = retrieve(index, "topic02", 4, "q02")
-        lam = 0.5
-        out = mmr_rerank(candidates, "topic02", store, index, lam, 4)
+        out = mmr_rerank(candidates, "topic02", store, index, 0.5, 4)
+        expected = exhaustive_mmr(candidates.doc_ids(), "topic02", store,
+                                  index, 0.5, 4)
+        assert list(zip(out.ids, out.scores)) == expected
 
-        # independent greedy simulation
-        tokens = tokenize("topic02")
-        pool = candidates.doc_ids()
-        raw = {d: reference_score(index, tokens, d) for d in pool}
-        lo, hi = min(raw.values()), max(raw.values())
-        rel = {d: (s - lo) / (hi - lo) if hi > lo else 1.0 for d, s in raw.items()}
-        chosen = []
-        while len(chosen) < 4 and len(chosen) < len(pool):
-            options = []
-            for d in pool:
-                if d in chosen:
-                    continue
-                if not chosen:
-                    score = rel[d]
-                else:
-                    score = lam * rel[d] - (1 - lam) * max(
-                        doc_similarity(store, d, s) for s in chosen
-                    )
-                options.append((-score, d))
-            options.sort()
-            chosen.append(options[0][1])
-        assert out.doc_ids() == chosen
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from("abcdefg"), max_size=5).map(" ".join),
+            min_size=1, max_size=12,
+        ),
+        extra=st.lists(st.sampled_from(["", "!", "a b", "c"]), max_size=4),
+        lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                      st.floats(min_value=0.0, max_value=1.0)),
+        data=st.data(),
+    )
+    def test_matches_oracle(self, texts, extra, lam, data):
+        # sampled texts repeat (tied documents); "" and "!" are empty ones
+        texts = texts + extra
+        store = make_store({f"d{i:02d}": t for i, t in enumerate(texts)})
+        index = build_index(store)
+        query = data.draw(st.sampled_from("abcz"))
+        ids = data.draw(st.permutations(sorted(store.documents)))
+        pool = ids[:data.draw(st.integers(1, len(ids)))]
+        k = data.draw(st.integers(1, len(pool) + 2))
+        candidates = make_ranked_list("q", [(d, 0.0) for d in pool])
+        out = mmr_rerank(candidates, query, store, index, lam, k)
+        expected = exhaustive_mmr(pool, query, store, index, lam, k)
+        assert list(zip(out.ids, out.scores)) == expected
+
+    def test_tokenizes_each_pool_document_once(self, monkeypatch):
+        store = make_store({f"d{i:03d}": f"a w{i % 7} x{i % 11}"
+                            for i in range(120)})
+        index = build_index(store)
+        candidates = retrieve(index, "a", 100)
+        assert len(candidates) == 100
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr("fairqr.rerank.tokenize", counting)
+        mmr_rerank(candidates, "a", store, index, 0.5, 20)
+        assert len(calls) <= 101
