@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import synthetic
-from .corpus import load_corpus, tokenize
+from .corpus import corpus_digest, load_corpus, tokenize
 from .errors import FairQRError, IndexBuildError, SchemaError, UsageError
 from .evaluation import (
     Significance,
@@ -101,7 +101,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError("config file must hold a JSON object")
         unknown = set(loaded) - set(CONFIG_FIELDS)
         if unknown:
-            raise FairQRError(f"unknown config fields: {sorted(unknown)}")
+            raise UsageError(f"unknown config fields: {sorted(unknown)}")
         for name, value in loaded.items():
             typ = CONFIG_FIELDS[name]
             allowed = (int, float) if typ is float else typ
@@ -154,8 +154,7 @@ def _load_store_and_index(config):
     if not (path and os.path.exists(path)):
         return store, build_index(store)
     index = load_index(path)
-    if (index.doc_lengths.keys() != store.documents.keys()
-            or sum(index.doc_lengths.values()) != store.total_tokens):
+    if index.digest != corpus_digest(store):
         raise IndexBuildError(f"index file {path} was not built from corpus "
                               f"{config['corpus']}; rerun `fairqr index`")
     return store, index
@@ -262,7 +261,7 @@ def cmd_index(args) -> int:
     index = build_index(store)
     save_index(index, config["index_file"])
     print(f"N={index.n_documents} avgdl={index.avgdl:.4f} "
-          f"vocabulary={len(index.postings)}")
+          f"vocabulary={len(index.vocabulary)}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ Documents missing a category's annotation fall back to the reserved
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -81,7 +82,6 @@ class CorpusStore:
 
     schemas: dict[str, GroupSchema]
     documents: dict[str, Document] = field(default_factory=dict)
-    total_tokens: int = 0
 
     @property
     def n_documents(self) -> int:
@@ -138,8 +138,25 @@ def ingest_corpus(
             groups[category] = label_sets.setdefault(labels, labels)
         doc = Document(id=doc_id, text=text, groups=groups)
         store.documents[doc_id] = doc
-        store.total_tokens += len(tokenize(text))
     return store
+
+
+def corpus_digest(store: CorpusStore) -> str:
+    """sha256 of the documents' ids and texts, in id order.
+
+    The count, then the lengths of the ids, the ids, the lengths of the texts
+    and the texts: the lengths frame every string, so two corpora that differ
+    in any id or text digest differently.
+    """
+    ids = sorted(store.documents)
+    texts = [store.documents[doc_id].text for doc_id in ids]
+    digest = hashlib.sha256(len(ids).to_bytes(8, "little"))
+    for strings in (ids, texts):
+        digest.update(np.fromiter(map(len, strings), "<i8", len(ids)).tobytes())
+        for at in range(0, len(ids), 1024):  # a bounded copy at a time
+            chunk = "".join(strings[at:at + 1024])
+            digest.update(chunk.encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
 
 
 def group_vector(store: CorpusStore, doc_id: str, category: str) -> np.ndarray:

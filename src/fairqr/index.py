@@ -4,20 +4,25 @@ Lucene-style idf: ln(1 + (N - df + 0.5) / (df + 0.5)). Always positive, so
 any document containing at least one query term scores strictly above zero
 and zero-score exclusion is unambiguous.
 
-The postings dicts are the persisted form. From them the index derives, per
-term, an array of document positions (documents in doc_id order) and an
-array of that term's BM25 gains, so a query's scores are sums of gains.
+The index is columnar (CSR): term t's postings are rows indptr[t] to
+indptr[t + 1] of `positions` (documents, as positions in the sorted doc
+ids, ascending), `tf` and `gains` (each posting's BM25 gain), so a query's
+scores are sums of gain slices. The counts are the persisted form; the gains
+are made from them in one vectorised pass, on build and on load alike.
 """
 from __future__ import annotations
 
 import json
+import zipfile
 from array import array
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from math import log
 
 import numpy as np
 
-from .corpus import CorpusStore, tokenize
+from .corpus import CorpusStore, corpus_digest, tokenize
 from .errors import (
     CorpusLookupError,
     EmptyQueryError,
@@ -29,7 +34,8 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 INDEX_FORMAT = "fairqr-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+_ARRAYS = ("indptr", "positions", "tf", "lengths")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,60 +83,76 @@ def make_ranked_list(query_id: str, scored: list[tuple[str, float]]) -> RankedLi
                       array("d", [score for _, score in scored]))
 
 
-@dataclass
+@dataclass(eq=False)
 class InvertedIndex:
-    """Term postings plus the document statistics BM25 needs.
+    """CSR postings plus the document statistics BM25 needs.
 
-    Immutable after construction; concurrent retrieval is safe. The sorted
-    doc ids, their positions and the per-term gain arrays are derived from
-    the other fields.
+    `doc_ids` are sorted; a posting's position indexes them and `lengths`.
+    `digest` is `corpus_digest` of the corpus the index was built from.
+    `avgdl` and `gains` are derived from the other fields. Every array is
+    read-only, so concurrent retrieval is safe; `==` compares the persisted
+    fields.
     """
 
     k1: float
     b: float
-    postings: dict[str, dict[str, int]] = field(default_factory=dict)
-    doc_lengths: dict[str, int] = field(default_factory=dict)
-    avgdl: float = 0.0
-    _doc_ids: list[str] = field(init=False, compare=False, repr=False)
-    _position: dict[str, int] = field(init=False, compare=False, repr=False)
-    _gains: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        init=False, compare=False, repr=False)
+    doc_ids: tuple[str, ...]
+    vocabulary: dict[str, int]
+    indptr: np.ndarray
+    positions: np.ndarray
+    tf: np.ndarray
+    lengths: np.ndarray
+    digest: str
+    avgdl: float = field(init=False)
+    gains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._doc_ids = sorted(self.doc_lengths)
-        self._position = dict(zip(self._doc_ids, range(len(self._doc_ids))))
-        self._gains = {}
+        """Every posting's gain, in the per-document formula's operand order
+        (`idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))`),
+        so each is bit-identical to it. A posting's document has dl >= 1, so
+        avgdl > 0 wherever it is read."""
+        n, k1, b = self.n_documents, self.k1, self.b
+        self.avgdl = int(self.lengths.sum()) / n
+        df = np.diff(self.indptr)
+        idf = {d: log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in set(df.tolist())}
+        norm = self.lengths[self.positions] * b
+        norm /= self.avgdl
+        norm += 1.0 - b
+        norm *= k1
+        norm += self.tf
+        gains = np.repeat(np.array([idf[d] for d in df.tolist()]), df)
+        gains *= self.tf
+        gains *= k1 + 1.0
+        gains /= norm
+        self.gains = gains
+        for name in _ARRAYS + ("gains",):
+            getattr(self, name).flags.writeable = False  # shared by threads
+
+    def __eq__(self, other):
+        if not isinstance(other, InvertedIndex):
+            return NotImplemented
+        return ((self.k1, self.b, self.doc_ids, self.vocabulary, self.digest)
+                == (other.k1, other.b, other.doc_ids, other.vocabulary,
+                    other.digest)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in _ARRAYS))
 
     @property
     def n_documents(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_ids)
 
     def _term_gains(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """Ascending positions of a term's documents and their BM25 gains.
+        """Ascending positions of a term's documents and their BM25 gains."""
+        t = self.vocabulary.get(term)
+        if t is None:
+            return None
+        lo, hi = self.indptr[t], self.indptr[t + 1]
+        return self.positions[lo:hi], self.gains[lo:hi]
 
-        Computed on a term's first use and kept, not at build: reading every
-        posting costs about as much as building the index. Threads that race
-        on a first use compute equal arrays and keep one. The operand order is
-        the per-document formula's, so the gains are bit-identical to it.
-        A posting's document has dl >= 1, so avgdl > 0 here.
-        """
-        cached = self._gains.get(term)
-        docs = self.postings.get(term)
-        if cached is not None or docs is None:
-            return cached
-        df = len(docs)
-        pos = np.fromiter(map(self._position.__getitem__, docs), np.int32, df)
-        tf = np.fromiter(docs.values(), np.float64, df)
-        dl = np.fromiter(map(self.doc_lengths.__getitem__, docs), np.float64, df)
-        if (pos[1:] < pos[:-1]).any():
-            order = np.argsort(pos)
-            pos, tf, dl = pos[order], tf[order], dl[order]
-        k1, b, n = self.k1, self.b, self.n_documents
-        idf = log(1.0 + (n - df + 0.5) / (df + 0.5))
-        norm = k1 * (1.0 - b + b * dl / self.avgdl)
-        gains = idf * tf * (k1 + 1.0) / (tf + norm)
-        pos.flags.writeable = gains.flags.writeable = False  # shared cache
-        return self._gains.setdefault(term, (pos, gains))
+
+def _check_parameters(k1, b) -> None:
+    if k1 <= 0 or not (0.0 <= b <= 1.0):
+        raise IndexBuildError(f"invalid BM25 parameters k1={k1}, b={b}")
 
 
 def build_index(
@@ -138,18 +160,49 @@ def build_index(
 ) -> InvertedIndex:
     if store.n_documents == 0:
         raise IndexBuildError("cannot index an empty corpus")
-    if k1 <= 0 or not (0.0 <= b <= 1.0):
-        raise IndexBuildError(f"invalid BM25 parameters k1={k1}, b={b}")
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
-    for doc_id in sorted(store.documents):
+    _check_parameters(k1, b)
+    doc_ids = tuple(sorted(store.documents))
+    vocabulary, counts = _count_terms(store, doc_ids)
+    return InvertedIndex(k1, b, doc_ids, vocabulary, *counts,
+                         corpus_digest(store))
+
+
+def _count_terms(store: CorpusStore, doc_ids: tuple[str, ...]):
+    """(vocabulary, (indptr, positions, tf, lengths)) of the documents.
+
+    Each document is tokenised once, in doc_ids order, into an int32 term id
+    per token. A stable argsort by term keeps each term's tokens in document
+    order, so each run of one document within a term is one posting. Sorting
+    the int32 ids alone, and dropping each transient once used, keeps the
+    peak memory under twice that of the finished index.
+    """
+    vocabulary: defaultdict[str, int] = defaultdict()
+    vocabulary.default_factory = vocabulary.__len__  # a new term: the next id
+    term_ids, lengths = array("i"), array("i")
+    for doc_id in doc_ids:
         tokens = tokenize(store.documents[doc_id].text)
-        doc_lengths[doc_id] = len(tokens)
-        for term in tokens:
-            bucket = postings.setdefault(term, {})
-            bucket[doc_id] = bucket.get(doc_id, 0) + 1
-    avgdl = sum(doc_lengths.values()) / len(doc_lengths)
-    return InvertedIndex(k1, b, postings, doc_lengths, avgdl)
+        lengths.append(len(tokens))
+        term_ids.extend(map(vocabulary.__getitem__, tokens))
+    lengths = np.frombuffer(lengths, np.intc)
+    terms = np.frombuffer(term_ids, np.intc)
+    term_starts = np.zeros(len(vocabulary) + 1, np.int64)  # in token order
+    np.cumsum(np.bincount(terms, minlength=len(vocabulary)),
+              out=term_starts[1:])
+    order = np.argsort(terms, kind="stable")
+    del terms, term_ids
+    docs = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)[order]
+    del order
+    first = np.empty(len(docs) + 1, bool)  # starts a posting, or the end
+    np.not_equal(docs[1:], docs[:-1], out=first[1:-1])
+    first[term_starts] = True
+    starts = np.flatnonzero(first)
+    del first
+    positions = docs[starts[:-1]]
+    del docs
+    tf = np.diff(starts)
+    tf = tf.astype(np.min_scalar_type(int(tf.max(initial=1))))
+    indptr = np.searchsorted(starts, term_starts)
+    return dict(vocabulary), (indptr, positions, tf, lengths)
 
 
 def _bm25(
@@ -180,10 +233,12 @@ def bm25_scores(
     index: InvertedIndex, query_tokens: list[str], doc_ids: list[str]
 ) -> list[float]:
     """BM25 score of each of doc_ids, in order; 0.0 when no term occurs."""
-    try:
-        wanted = np.array([index._position[d] for d in doc_ids], np.int64)
-    except KeyError as exc:
-        raise CorpusLookupError(f"document {exc.args[0]!r} not in index") from None
+    ids = index.doc_ids
+    wanted = [bisect_left(ids, d) for d in doc_ids]
+    for doc_id, at in zip(doc_ids, wanted):
+        if at == len(ids) or ids[at] != doc_id:
+            raise CorpusLookupError(f"document {doc_id!r} not in index")
+    wanted = np.array(wanted, np.int64)
     pos, scores = _bm25(index, query_tokens)
     at = np.searchsorted(pos, wanted)
     pos, scores = np.append(pos, -1), np.append(scores, 0.0)  # a miss lands here
@@ -208,37 +263,98 @@ def retrieve(
         keep = scores >= np.partition(scores, cut)[cut]
         pos, scores = pos[keep], scores[keep]
     order = np.lexsort((pos, -scores))[:pool_size]
-    doc_ids = tuple(index._doc_ids[i] for i in pos[order].tolist())
+    doc_ids = tuple(index.doc_ids[i] for i in pos[order].tolist())
     return RankedList(query_id, doc_ids, array("d", scores[order].tobytes()))
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    payload = {
+    """Write the index as a version-2 `.npz` archive at exactly `path`.
+
+    The archive holds the counts (`indptr`, `positions`, `tf`, `lengths`) and
+    `meta`, a UTF-8 JSON object with the format, version, k1, b, digest, doc
+    ids and terms (in id order). The gains are not saved; `load_index` makes
+    them from the counts as `build_index` does.
+    """
+    meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "k1": index.k1,
         "b": index.b,
-        "avgdl": index.avgdl,
-        "doc_lengths": index.doc_lengths,
-        "postings": index.postings,
+        "digest": index.digest,
+        "doc_ids": list(index.doc_ids),
+        "terms": sorted(index.vocabulary, key=index.vocabulary.__getitem__),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    encoded = json.dumps(meta, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:  # np.savez(str) would append ".npz"
+        np.savez(fh, meta=np.frombuffer(encoded, np.uint8),
+                 **{name: getattr(index, name) for name in _ARRAYS})
 
 
 def load_index(path) -> InvertedIndex:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
-        raise IndexBuildError(f"not an index file: {path}")
-    if payload.get("version") != INDEX_VERSION:
-        raise IndexBuildError(
-            f"unsupported index version {payload.get('version')!r}"
-        )
-    return InvertedIndex(
-        k1=payload["k1"],
-        b=payload["b"],
-        postings=payload["postings"],
-        doc_lengths=payload["doc_lengths"],
-        avgdl=payload["avgdl"],
-    )
+    """Read an index that `save_index` wrote.
+
+    Anything else, including an index of another version and an archive whose
+    arrays disagree with each other, raises IndexBuildError.
+    """
+    with open(path, "rb") as fh:
+        try:
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                meta = json.loads(npz["meta"].tobytes())
+                arrays = [npz[name] for name in _ARRAYS]
+            return _checked_index(meta, *arrays)
+        except (ValueError, KeyError, EOFError, zipfile.BadZipFile,
+                IndexBuildError) as exc:
+            raise IndexBuildError(
+                f"{path} is not a fairqr index of version {INDEX_VERSION} "
+                f"({exc}); rerun `fairqr index`") from None
+
+
+def _checked_index(meta, indptr, positions, tf, lengths) -> InvertedIndex:
+    """The index of a loaded archive, or ValueError naming what is wrong.
+
+    A term's postings listed out of document order are put in order.
+    """
+    if not (isinstance(meta, dict) and meta.get("format") == INDEX_FORMAT):
+        raise ValueError("not an index file")
+    if meta.get("version") != INDEX_VERSION:
+        raise ValueError(f"version {meta.get('version')!r}")
+    k1, b, digest = meta.get("k1"), meta.get("b"), meta.get("digest")
+    doc_ids, terms = meta.get("doc_ids"), meta.get("terms")
+    if not (all(type(v) in (int, float) for v in (k1, b))
+            and isinstance(digest, str)
+            and all(isinstance(v, list) and all(isinstance(s, str) for s in v)
+                    for v in (doc_ids, terms))):
+        raise ValueError("malformed meta")
+    _check_parameters(k1, b)
+    n = len(doc_ids)
+    if n == 0 or any(x >= y for x, y in zip(doc_ids, doc_ids[1:])):
+        raise ValueError("doc ids are not unique and sorted")
+    vocabulary = {term: t for t, term in enumerate(terms)}
+    if len(vocabulary) != len(terms):
+        raise ValueError("a term is listed twice")
+    if not all(a.ndim == 1 and a.dtype.kind in "iu" and np.can_cast(a, np.int64)
+               for a in (indptr, positions, tf, lengths)):
+        raise ValueError("arrays must be one-dimensional int64-castable integers")
+    df = np.diff(indptr)
+    if (len(indptr) != len(terms) + 1 or indptr[0] != 0 or (df < 0).any()
+            or indptr[-1] != len(positions) or len(tf) != len(positions)):
+        raise ValueError("indptr does not fit the terms and postings")
+    if len(positions) and (positions.min() < 0 or positions.max() >= n):
+        raise ValueError("a posting's document is out of range")
+    if (tf < 1).any():
+        raise ValueError("a posting's tf is below 1")
+    if len(lengths) != n or not np.array_equal(
+            np.bincount(positions, tf, minlength=n), lengths):
+        raise ValueError("lengths disagree with the postings")
+    row = np.repeat(np.arange(len(terms)), df)
+    same_row = row[1:] == row[:-1]
+    if (same_row & (positions[1:] < positions[:-1])).any():
+        order = np.lexsort((positions, row))
+        positions, tf = positions[order], tf[order]
+    if (same_row & (positions[1:] == positions[:-1])).any():
+        raise ValueError("a term lists a document twice")
+    return InvertedIndex(k1, b, tuple(doc_ids), vocabulary,
+                         indptr, positions, tf, lengths, digest)

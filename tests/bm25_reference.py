@@ -1,30 +1,38 @@
-"""Per-document Lucene BM25, written apart from `fairqr.index`'s scoring core.
+"""Per-document Lucene BM25, written apart from `fairqr.index`.
 
 Tests compare `retrieve`, `bm25_scores` and the re-rankers against these
-functions. They read only the index's postings and document statistics.
+functions. They count terms from the corpus texts themselves, so they share
+nothing with the index but `tokenize`.
 """
+from collections import Counter
 from math import log
 
+from fairqr.corpus import tokenize
 
-def reference_score(index, query_tokens: list[str], doc_id: str) -> float:
+
+def reference_score(store, query_tokens: list[str], doc_id: str,
+                    k1: float = 1.2, b: float = 0.75) -> float:
     """Sum of per-term BM25 contributions over distinct query terms."""
-    dl = index.doc_lengths[doc_id]
+    counts = {d: Counter(tokenize(doc.text))
+              for d, doc in store.documents.items()}
+    avgdl = sum(sum(c.values()) for c in counts.values()) / len(counts)
+    dl = sum(counts[doc_id].values())
     score = 0.0
     for term in dict.fromkeys(query_tokens):
-        tf = index.postings.get(term, {}).get(doc_id, 0)
+        tf = counts[doc_id][term]
         if tf == 0:
             continue
-        norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
-        df = len(index.postings[term])
-        idf = log(1.0 + (index.n_documents - df + 0.5) / (df + 0.5))
-        score += idf * tf * (index.k1 + 1.0) / (tf + norm)
+        norm = k1 * (1.0 - b + b * dl / avgdl)
+        df = sum(1 for c in counts.values() if c[term])
+        idf = log(1.0 + (len(counts) - df + 0.5) / (df + 0.5))
+        score += idf * tf * (k1 + 1.0) / (tf + norm)
     return score
 
 
-def reference_ranking(index, query_tokens: list[str], depth: int):
+def reference_ranking(store, query_tokens: list[str], depth: int):
     """Top `depth` (doc_id, score) pairs with positive score; ties by doc id."""
-    scored = [(d, reference_score(index, query_tokens, d))
-              for d in sorted(index.doc_lengths)]
+    scored = [(d, reference_score(store, query_tokens, d))
+              for d in sorted(store.documents)]
     scored = [(d, s) for d, s in scored if s > 0.0]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return scored[:depth]

@@ -17,11 +17,10 @@ def jaccard(store, d1: str, d2: str) -> float:
     return len(t1 & t2) / len(t1 | t2)
 
 
-def exhaustive_mmr(pool: list[str], query: str, store, index, lam: float,
-                   k: int) -> list[tuple[str, float]]:
+def exhaustive_mmr(pool: list[str], query: str, store, lam: float, k: int) -> list[tuple[str, float]]:
     """Greedy MMR picks as (doc_id, marginal score); ties break by doc_id."""
     tokens = tokenize(query)
-    raw = {d: reference_score(index, tokens, d) for d in pool}
+    raw = {d: reference_score(store, tokens, d) for d in pool}
     lo, hi = min(raw.values()), max(raw.values())
     rel = {d: (s - lo) / (hi - lo) if hi > lo else 1.0 for d, s in raw.items()}
     chosen: list[tuple[str, float]] = []

@@ -208,7 +208,7 @@ def test_criterion_4_rerank_contract(pipeline):
         reranked = semantic_rerank(fair_set, qtext, index, query_id)
         ok &= sorted(reranked.doc_ids()) == sorted(fair_set.doc_ids())
         tokens = tokenize(qtext)
-        best = max(reference_score(index, tokens, d) for d in fair_set.doc_ids())
+        best = max(reference_score(store, tokens, d) for d in fair_set.doc_ids())
         ok &= reranked.entries[0].score == best
     _report(4, "semantic rerank permutes the loop set, best doc first", ok)
 

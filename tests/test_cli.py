@@ -232,6 +232,47 @@ class TestStaleInputs:
         assert "rerun `fairqr index`" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_index_of_an_edit_keeping_ids_and_length_rejected(
+            self, workspace, tmp_path, capsys):
+        # two documents swap a word: every id and token count stays the same
+        lines = (workspace["data"] / "corpus.jsonl").read_text().splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        a, b = first["text"].split(), second["text"].split()
+        assert a[0] != b[0]
+        a[0], b[0] = b[0], a[0]
+        first["text"], second["text"] = " ".join(a), " ".join(b)
+        edited = tmp_path / "corpus.jsonl"
+        edited.write_text("\n".join([json.dumps(first), json.dumps(second)]
+                                    + lines[2:]) + "\n")
+        index_file = tmp_path / "idx.json"
+        assert main(["index", "--corpus", str(workspace["data"] / "corpus.jsonl"),
+                     "--schema", str(workspace["data"] / "schema.json"),
+                     "--index-file", str(index_file)]) == 0
+        capsys.readouterr()
+        args = (["run", "bm25", "--index-file", str(index_file)]
+                + workspace["common"])
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        args[args.index(str(workspace["data"] / "corpus.jsonl"))] = str(edited)
+        assert main(args) == 2
+        assert "rerun `fairqr index`" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("content", [
+        bytes(range(256)),
+        b'{"format": "fairqr-index", "version": 1}',
+    ], ids=["garbage", "version-1-json"])
+    def test_malformed_index_file_is_data_error(self, workspace, tmp_path,
+                                                capsys, content):
+        index_file = tmp_path / "idx.json"
+        index_file.write_bytes(content)
+        args = (["run", "bm25", "--index-file", str(index_file)]
+                + workspace["common"])
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(index_file) in err and "rerun `fairqr index`" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("masses", [
         {"male": 0.4, "female": 0.2},                # sums to 0.6
         {"male": 0.5, "female": 0.3, "other": 0.2},  # label outside schema
@@ -376,6 +417,7 @@ class TestUsage:
         ("bm25", {"seed": None}, "seed"),
         ("bm25", ["k"], None),
         ("bm25", 5, None),
+        ("bm25", {"kk": 3}, "kk"),                   # no such field
     ])
     def test_config_value_of_wrong_type_is_usage_error(
             self, workspace, tmp_path, capsys, mode, loaded, field):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fairqr.corpus import (
     GroupSchema,
+    corpus_digest,
     group_vector,
     ingest_corpus,
     tokenize,
@@ -15,6 +16,7 @@ from fairqr.errors import (
     IngestionError,
     SchemaError,
 )
+from fairqr.index import build_index
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
 GEO = GroupSchema(
@@ -90,7 +92,8 @@ class TestIngest:
             {"id": "d1", "text": "a b c", "groups": {}},
             {"id": "d2", "text": "d e", "groups": {}},
         ]
-        assert ingest_corpus(records, [GENDER]).total_tokens == 5
+        # ingestion does not tokenise; the index holds each document's length
+        assert build_index(ingest_corpus(records, [GENDER])).lengths.tolist() == [3, 2]
 
     def test_roundtrip_is_stable(self):
         records = [
@@ -121,6 +124,29 @@ class TestIngest:
         assert docs["d1"].groups["gender"] is docs["d2"].groups["gender"]
         assert docs["d3"].groups["gender"] is docs["d4"].groups["gender"]
         assert not hasattr(docs["d1"], "__dict__")
+
+
+class TestDigest:
+    @staticmethod
+    def digest(texts: dict[str, str]) -> str:
+        records = [{"id": d, "text": t} for d, t in texts.items()]
+        return corpus_digest(ingest_corpus(records, [GENDER]))
+
+    def test_ignores_record_order(self):
+        assert (self.digest({"d1": "a b", "d2": "c"})
+                == self.digest({"d2": "c", "d1": "a b"}))
+
+    @pytest.mark.parametrize("edited", [
+        {"d1": "c b", "d2": "a"},     # words swapped: same ids and length
+        {"d1": "a b", "d3": "c"},     # an id renamed
+        {"d1": "a bc", "d2": ""},     # text moved across the boundary
+        {"d1": "a b", "d2": "c", "d3": ""},  # an empty document added
+    ])
+    def test_sees_every_edit(self, edited):
+        assert self.digest(edited) != self.digest({"d1": "a b", "d2": "c"})
+
+    def test_lone_surrogate_digests(self):
+        assert len(self.digest({"d1": "a \ud800 b"})) == 64
 
 
 class TestGroupVector:

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from fairqr.index import (
     retrieve,
     save_index,
 )
+from fairqr.synthetic import SkewSpec, generate
 
 GENDER = GroupSchema("g", ("a", "Unknown"))
 
@@ -35,11 +37,39 @@ def make_store(texts: dict[str, str]):
 
 class TestBuild:
     def test_postings_and_stats(self):
-        index = build_index(make_store({"d1": "a b", "d2": "b"}))
-        assert index.postings["a"] == {"d1": 1}
-        assert index.postings["b"] == {"d1": 1, "d2": 1}
-        assert index.avgdl == 1.5
+        index = build_index(make_store({"d2": "b b", "d1": "a b"}))
+        assert index.doc_ids == ("d1", "d2")
+        assert index.vocabulary == {"a": 0, "b": 1}
+        assert index.indptr.tolist() == [0, 1, 3]     # a: d1; b: d1, d2
+        assert index.positions.tolist() == [0, 0, 1]
+        assert index.tf.tolist() == [1, 1, 2]
+        assert index.lengths.tolist() == [2, 2]
+        assert index.avgdl == 2.0
         assert index.n_documents == 2
+
+    def test_arrays_are_read_only(self):
+        index = build_index(make_store({"d1": "a b", "d2": "b"}))
+        for array in (index.indptr, index.positions, index.tf, index.lengths,
+                      index.gains):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("docs", [10_000, 20_000])
+    def test_build_transients_stay_under_twice_the_index(self, docs):
+        spec = SkewSpec(seed=1, doc_count=docs, topic_count=docs // 100,
+                        skew=0.6)
+        records = generate(spec)[0]
+        store = ingest_corpus(records, [GroupSchema(spec.category,
+                                                    spec.subgroups)])
+        del records
+        tracemalloc.start()
+        try:
+            index = build_index(store)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.n_documents == docs
+        assert peak <= 2 * kept
 
     def test_single_doc_avgdl(self):
         index = build_index(make_store({"d1": "x y z"}))
@@ -122,7 +152,8 @@ class TestRetrieve:
             tokens = tokenize(qtext)
             for entry in ranked.entries:
                 assert entry.score == pytest.approx(
-                    reference_score(index, tokens, entry.doc_id), abs=1e-9
+                    reference_score(synth["store"], tokens, entry.doc_id),
+                    abs=1e-9
                 )
 
     @given(
@@ -132,12 +163,10 @@ class TestRetrieve:
         st.integers(min_value=1, max_value=10),
     )
     def test_matches_reference_on_random_corpora(self, texts, query, pool):
-        index = build_index(make_store(
-            {f"d{i}": " ".join(t) for i, t in enumerate(texts)}
-        ))
-        ranked = retrieve(index, " ".join(query), pool)
+        store = make_store({f"d{i}": " ".join(t) for i, t in enumerate(texts)})
+        ranked = retrieve(build_index(store), " ".join(query), pool)
         assert [(e.doc_id, e.score) for e in ranked.entries] == (
-            reference_ranking(index, query, pool)
+            reference_ranking(store, query, pool)
         )
 
     def test_concurrent_first_use_matches_sequential(self, synth):
@@ -148,7 +177,7 @@ class TestRetrieve:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                index = build_index(synth["store"])  # no term computed yet
+                index = build_index(synth["store"])
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     futures = [pool.submit(retrieve, index, q, 30)
                                for q in queries]
@@ -202,14 +231,21 @@ class TestPersistence:
             synth["index"], "topic00", 20
         )
 
+    def test_saves_to_exactly_the_given_path(self, tmp_path):
+        save_index(build_index(make_store({"d1": "a"})), tmp_path / "idx.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.json"]
+
     def test_unsorted_postings_file_scores_the_same(self, tmp_path, synth):
         path = tmp_path / "index.json"
         save_index(synth["index"], path)
-        payload = json.loads(path.read_text())
-        payload["postings"] = {term: dict(reversed(docs.items()))
-                               for term, docs in payload["postings"].items()}
-        path.write_text(json.dumps(payload))
+        arrays = rewrite(path)
+        indptr, positions, tf = arrays["indptr"], arrays["positions"], arrays["tf"]
+        for lo, hi in zip(indptr[:-1], indptr[1:]):  # each term's documents
+            positions[lo:hi], tf[lo:hi] = positions[lo:hi][::-1].copy(), \
+                tf[lo:hi][::-1].copy()
+        rewrite(path, arrays)
         loaded = load_index(path)
+        assert loaded == synth["index"]
         for query in ("topic00", "topic01 markerfemale"):
             ranked = retrieve(loaded, query, 50)
             assert ranked == retrieve(synth["index"], query, 50)
@@ -222,3 +258,80 @@ class TestPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(IndexBuildError):
             load_index(path)
+
+    @pytest.mark.parametrize("damage, reason", [
+        ("garbage", "not an .npz archive"),
+        ("version-1 json", "not an .npz archive"),
+        ("truncated", "not a zip file"),
+        ("object array", "allow_pickle"),
+        ("version 1", "version 1"),
+        ("meta not an object", "not an index file"),
+        ("unsorted doc ids", "doc ids"),
+        ("float positions", "integers"),
+        ("indptr not monotone", "indptr"),
+        ("indptr too short", "indptr"),
+        ("position >= N", "out of range"),
+        ("position < 0", "out of range"),
+        ("tf 0", "tf is below 1"),
+        ("lengths too short", "lengths disagree"),
+        ("lengths disagree", "lengths disagree"),
+        ("document twice in a term", "twice"),
+    ])
+    def test_malformed_file_is_rejected(self, tmp_path, damage, reason):
+        # postings a: d1 (tf 2); b: d1, d2; c: d2, d3
+        index = build_index(make_store({"d1": "a b a", "d2": "b c", "d3": "c"}))
+        path = tmp_path / "idx.json"
+        save_index(index, path)
+        data = path.read_bytes()
+        arrays = rewrite(path)
+        meta = json.loads(arrays["meta"].tobytes())
+        if damage == "garbage":
+            path.write_bytes(bytes(range(256)) * 4)
+        elif damage == "version-1 json":
+            path.write_text('{"format": "fairqr-index", "version": 1}')
+        elif damage == "truncated":
+            path.write_bytes(data[:len(data) // 2])
+        elif damage == "object array":
+            arrays["tf"] = np.array([1, "x"], dtype=object)
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+        else:
+            if damage == "version 1":
+                meta["version"] = 1
+            elif damage == "unsorted doc ids":
+                meta["doc_ids"] = ["d2", "d1", "d3"]
+            elif damage == "meta not an object":
+                meta = ["fairqr-index"]
+            elif damage == "indptr not monotone":
+                arrays["indptr"] = np.array([0, 3, 2, 5])
+            elif damage == "indptr too short":
+                arrays["indptr"] = arrays["indptr"][:-1]
+            elif damage == "float positions":
+                arrays["positions"] = arrays["positions"].astype(float)
+            elif damage == "lengths too short":
+                arrays["lengths"] = arrays["lengths"][:-1]
+            elif damage == "lengths disagree":
+                arrays["lengths"][0] += 1
+            elif damage == "document twice in a term":
+                arrays["positions"][2] = 0  # b: d1, d1
+                arrays["lengths"][:] = 4, 1, 1
+            else:  # posting 2 is b's d2
+                at, value = {"position >= N": ("positions", 3),
+                             "position < 0": ("positions", -1),
+                             "tf 0": ("tf", 0)}[damage]
+                arrays[at][2] = value
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+            rewrite(path, arrays)
+        with pytest.raises(IndexBuildError, match="rerun `fairqr index`") as err:
+            load_index(path)
+        assert str(path) in str(err.value) and reason in str(err.value)
+
+
+def rewrite(path, arrays=None):
+    """The arrays of a saved index, as writable copies; with `arrays`,
+    write those to `path` instead."""
+    if arrays is None:
+        with np.load(path) as npz:
+            return {name: npz[name].copy() for name in npz.files}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)

@@ -41,7 +41,7 @@ class TestSemanticRerank:
         tokens = tokenize("topic00")
         expected = sorted(
             pool.doc_ids(),
-            key=lambda d: (-reference_score(index, tokens, d), d),
+            key=lambda d: (-reference_score(synth["store"], tokens, d), d),
         )
         assert out.doc_ids() == expected
 
@@ -50,7 +50,8 @@ class TestSemanticRerank:
         pool = retrieve(index, "topic01 markerfemale", 20, "q01")
         out = semantic_rerank(pool, "topic01", index, "q01")
         tokens = tokenize("topic01")
-        best = max(reference_score(index, tokens, d) for d in pool.doc_ids())
+        best = max(reference_score(synth["store"], tokens, d)
+                   for d in pool.doc_ids())
         assert out.entries[0].score == best
 
 
@@ -117,7 +118,7 @@ class TestMMR:
         candidates = retrieve(index, "topic02", 4, "q02")
         out = mmr_rerank(candidates, "topic02", store, index, 0.5, 4)
         expected = exhaustive_mmr(candidates.doc_ids(), "topic02", store,
-                                  index, 0.5, 4)
+                                  0.5, 4)
         assert list(zip(out.ids, out.scores)) == expected
 
     @settings(max_examples=150, deadline=None)
@@ -142,7 +143,7 @@ class TestMMR:
         k = data.draw(st.integers(1, len(pool) + 2))
         candidates = make_ranked_list("q", [(d, 0.0) for d in pool])
         out = mmr_rerank(candidates, query, store, index, lam, k)
-        expected = exhaustive_mmr(pool, query, store, index, lam, k)
+        expected = exhaustive_mmr(pool, query, store, lam, k)
         assert list(zip(out.ids, out.scores)) == expected
 
     def test_tokenizes_each_pool_document_once(self, monkeypatch):
