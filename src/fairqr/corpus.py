@@ -66,22 +66,26 @@ class GroupSchema:
 
 @dataclass(frozen=True, slots=True)
 class Document:
-    """One corpus document with per-category subgroup labels."""
+    """One corpus document; `row` is its row in the store's group matrices."""
 
     id: str
     text: str
-    groups: dict[str, frozenset[str]]
+    row: int
 
 
 @dataclass
 class CorpusStore:
     """Immutable-after-ingestion document collection.
 
-    Safe for concurrent reads once built; ingestion is single-writer.
+    `groups` holds one read-only (documents + 1) x subgroups matrix per
+    category: row i is the i-th ingested document's membership vector, the
+    last row (all mass on "Unknown") an id outside the corpus. Safe for
+    concurrent reads once built; ingestion is single-writer.
     """
 
     schemas: dict[str, GroupSchema]
     documents: dict[str, Document] = field(default_factory=dict)
+    groups: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_documents(self) -> int:
@@ -99,6 +103,18 @@ class CorpusStore:
         except KeyError:
             raise CorpusLookupError(f"unknown category {category!r}") from None
 
+    def group_rows(self, category: str, doc_ids,
+                   missing_doc: str = "error") -> np.ndarray:
+        """The documents' membership rows in the category, in order; an id
+        outside the corpus raises, or with missing_doc="unknown" gets the
+        last row."""
+        self.schema(category)  # CorpusLookupError for an unknown category
+        matrix = self.groups[category]
+        if missing_doc == "unknown":
+            docs = self.documents
+            return matrix[[docs[d].row if d in docs else -1 for d in doc_ids]]
+        return matrix[[self.document(d).row for d in doc_ids]]
+
 
 def ingest_corpus(
     records: Iterable[dict], schemas: Iterable[GroupSchema]
@@ -109,8 +125,8 @@ def ingest_corpus(
     and duplicate ids are rejected.
     """
     store = CorpusStore(schemas={s.category: s for s in schemas})
-    # Few distinct label sets, many documents: each document shares one.
-    label_sets: dict[frozenset[str], frozenset[str]] = {}
+    # per category: its schema, and the (row, column) of every label
+    marks = {c: (s, [], []) for c, s in store.schemas.items()}
     for line_no, record in enumerate(records, start=1):
         if not isinstance(record, dict):
             raise IngestionError("record is not an object", line_no)
@@ -125,19 +141,25 @@ def ingest_corpus(
         raw_groups = record.get("groups", {})
         if not isinstance(raw_groups, dict):
             raise IngestionError("'groups' must be an object", line_no)
-        groups: dict[str, frozenset[str]] = {}
-        for category, schema in store.schemas.items():
-            labels = raw_groups.get(category) or [UNKNOWN]
-            for label in labels:
+        row = len(store.documents)
+        for category, (schema, rows, cols) in marks.items():
+            for label in raw_groups.get(category) or [UNKNOWN]:
                 if label not in schema.subgroups:
                     raise SchemaError(
                         f"subgroup {label!r} not in category {category!r} "
                         f"(document {doc_id!r})"
                     )
-            labels = frozenset(labels)
-            groups[category] = label_sets.setdefault(labels, labels)
-        doc = Document(id=doc_id, text=text, groups=groups)
-        store.documents[doc_id] = doc
+                rows.append(row)
+                cols.append(schema.subgroups.index(label))
+        store.documents[doc_id] = Document(doc_id, text, row)
+    for category, (schema, rows, cols) in marks.items():
+        rows.append(len(store.documents))  # the row of an id outside the corpus
+        cols.append(schema.index(UNKNOWN))
+        shape = (len(store.documents) + 1, len(schema.subgroups))
+        matrix = store.groups[category] = np.zeros(shape)
+        matrix[rows, cols] = 1.0  # a label listed twice counts once
+        matrix /= matrix.sum(axis=1, keepdims=True)
+        matrix.flags.writeable = False  # shared by concurrent readers
     return store
 
 
@@ -164,14 +186,7 @@ def group_vector(store: CorpusStore, doc_id: str, category: str) -> np.ndarray:
 
     One unit of mass split equally across the document's labels; sums to 1.
     """
-    doc = store.document(doc_id)
-    schema = store.schema(category)
-    labels = doc.groups.get(category) or frozenset({UNKNOWN})
-    vec = np.zeros(len(schema.subgroups))
-    share = 1.0 / len(labels)
-    for label in labels:
-        vec[schema.index(label)] = share
-    return vec
+    return store.group_rows(category, [doc_id])[0]
 
 
 def read_jsonl(path) -> Iterator[dict]:

@@ -9,14 +9,18 @@ class UsageError(FairQRError, ValueError):
     """An option or parameter value outside its allowed range."""
 
 
-class IngestionError(FairQRError):
-    """Malformed corpus record; carries the offending line number."""
+class LineError(FairQRError):
+    """An error at a numbered input line, prefixed `line N:` when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class IngestionError(LineError):
+    """Malformed corpus record; carries the offending line number."""
 
 
 class SchemaError(FairQRError):
@@ -79,11 +83,5 @@ class SpecError(FairQRError):
     """Invalid synthetic-corpus specification."""
 
 
-class RunFileError(FairQRError):
+class RunFileError(LineError):
     """Malformed TREC run or qrels line; carries the line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusStore, group_vector
+from .corpus import CorpusStore
 from .errors import (
     DegenerateExposureError,
     DimensionError,
@@ -66,7 +66,7 @@ def exposure(
 
     Uniform weighting is the plain mean of per-document group vectors;
     log-discount weights position i by 1/log2(i+1), renormalized.
-    missing_doc="unknown" maps out-of-corpus ids to the Unknown subgroup
+    missing_doc="unknown" counts an id outside the corpus as unlabeled
     instead of raising, for evaluating externally produced runs.
     """
     if k < 1:
@@ -77,32 +77,20 @@ def exposure(
             f"empty ranked list for query {ranked.query_id!r}"
         )
     weights = _position_weights(len(top), weighting)
-    schema = store.schema(category)
-
-    def vector(doc_id: str) -> np.ndarray:
-        if missing_doc == "unknown" and doc_id not in store.documents:
-            v = np.zeros(len(schema.subgroups))
-            v[schema.index("Unknown")] = 1.0
-            return v
-        return group_vector(store, doc_id, category)
-
-    vectors = np.stack([vector(doc_id) for doc_id in top])
-    return ExposureDistribution(category, weights @ vectors)
+    rows = store.group_rows(category, top, missing_doc)
+    return ExposureDistribution(category, weights @ rows)
 
 
 def target_from_qrels(
     qrels, store: CorpusStore, query_id: str, category: str
 ) -> FairnessTarget:
     """Empirical group distribution over the query's relevant documents."""
-    relevant = [
-        doc_id
-        for doc_id, grade in qrels.judgments(query_id).items()
-        if grade > 0 and doc_id in store.documents
-    ]
+    judged = qrels.judgments(query_id).items()
+    relevant = [d for d, grade in judged if grade > 0 and d in store.documents]
     if not relevant:
         raise NoTargetError(f"no relevant documents for query {query_id!r}")
-    vectors = np.stack([group_vector(store, d, category) for d in relevant])
-    dist = ExposureDistribution(category, vectors.mean(axis=0))
+    rows = store.group_rows(category, relevant)
+    dist = ExposureDistribution(category, rows.mean(axis=0))
     return FairnessTarget(query_id, category, dist, provenance="qrels-empirical")
 
 

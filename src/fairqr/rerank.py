@@ -17,9 +17,8 @@ def semantic_rerank(
     Output is a permutation of the input set; ties break by doc_id. An empty
     set yields an empty list.
     """
-    doc_ids = candidates.doc_ids()
-    scores = bm25_scores(index, tokenize(original_query), doc_ids)
-    scored = sorted(zip(doc_ids, scores), key=lambda kv: (-kv[1], kv[0]))
+    scores = bm25_scores(index, tokenize(original_query), candidates.ids)
+    scored = sorted(zip(candidates.ids, scores), key=lambda kv: (-kv[1], kv[0]))
     return make_ranked_list(query_id, scored)
 
 

@@ -68,12 +68,10 @@ def write_qrels(qrels: Qrels, path) -> None:
 def write_run(run: dict[str, RankedList], path, tag: str = "fairqr") -> None:
     """Write ranked lists as a TREC run file, queries sorted by id."""
     with open(path, "w", encoding="utf-8") as fh:
-        for query_id in sorted(run):
-            for entry in run[query_id].entries:
-                fh.write(
-                    f"{query_id} Q0 {entry.doc_id} {entry.rank} "
-                    f"{entry.score!r} {tag}\n"
-                )
+        for query_id, ranked in sorted(run.items()):
+            lines = enumerate(zip(ranked.ids, ranked.scores), start=1)
+            for rank, (doc_id, score) in lines:
+                fh.write(f"{query_id} Q0 {doc_id} {rank} {score!r} {tag}\n")
 
 
 def parse_run(path) -> dict[str, RankedList]:

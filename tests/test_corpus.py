@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from fairqr.errors import (
     SchemaError,
 )
 from fairqr.index import build_index
+from fairqr.synthetic import SkewSpec, generate
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
 GEO = GroupSchema(
@@ -66,7 +69,7 @@ class TestIngest:
 
     def test_missing_category_maps_to_unknown(self):
         store = ingest_corpus([{"id": "d1", "text": "x", "groups": {}}], [GENDER])
-        assert store.documents["d1"].groups["gender"] == frozenset({"Unknown"})
+        assert group_vector(store, "d1", "gender").tolist() == [0.0, 0.0, 1.0]
 
     def test_unknown_subgroup_label_rejected(self):
         records = [{"id": "d1", "text": "x", "groups": {"gender": ["martian"]}}]
@@ -100,14 +103,19 @@ class TestIngest:
             {"id": "d1", "text": "Solar!", "groups": {"gender": ["female", "male"]}},
             {"id": "d2", "text": "wind", "groups": {}},
         ]
-        def record(doc):
+        def record(store, doc):
+            labels = [s for s, mass in zip(GENDER.subgroups,
+                                           group_vector(store, doc.id, "gender"))
+                      if mass > 0]
             return {"id": doc.id, "text": doc.text,
-                    "groups": {c: sorted(g) for c, g in sorted(doc.groups.items())}}
+                    "groups": {"gender": sorted(labels)}}
 
         store = ingest_corpus(records, [GENDER])
-        serialized = [record(store.documents[d]) for d in sorted(store.documents)]
+        serialized = [record(store, store.documents[d])
+                      for d in sorted(store.documents)]
         store2 = ingest_corpus(serialized, [GENDER])
-        serialized2 = [record(store2.documents[d]) for d in sorted(store2.documents)]
+        serialized2 = [record(store2, store2.documents[d])
+                       for d in sorted(store2.documents)]
         assert serialized == serialized2
         for doc_id in store.documents:
             assert store.documents[doc_id] == store2.documents[doc_id]
@@ -120,10 +128,39 @@ class TestIngest:
             {"id": "d3", "text": "c", "groups": {}},
             {"id": "d4", "text": "d", "groups": {"gender": ["Unknown"]}},
         ]
-        docs = ingest_corpus(records, [GENDER]).documents
-        assert docs["d1"].groups["gender"] is docs["d2"].groups["gender"]
-        assert docs["d3"].groups["gender"] is docs["d4"].groups["gender"]
-        assert not hasattr(docs["d1"], "__dict__")
+        store = ingest_corpus(records, [GENDER])
+
+        def vector(doc_id):
+            return group_vector(store, doc_id, "gender").tolist()
+
+        assert vector("d1") == vector("d2") == [0.5, 0.5, 0.0]
+        assert vector("d3") == vector("d4") == [0.0, 0.0, 1.0]
+        assert not hasattr(store.documents["d1"], "__dict__")
+
+    def test_group_matrix_layout(self):
+        records = [
+            {"id": "d2", "text": "a", "groups": {"gender": ["female"]}},
+            {"id": "d1", "text": "b", "groups": {"gender": ["male", "male"]}},
+        ]
+        store = ingest_corpus(records, [GENDER])
+        matrix = store.groups["gender"]
+        # ingest order, then the row of an id outside the corpus
+        assert [store.documents[d].row for d in ("d2", "d1")] == [0, 1]
+        assert matrix.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        assert not matrix.flags.writeable
+
+    def test_memory_per_document(self):
+        spec = SkewSpec(seed=1, doc_count=20_000, topic_count=20, skew=0.8)
+        records = generate(spec)[0]  # texts and ids are shared, not counted
+        schema = GroupSchema(spec.category, spec.subgroups)
+        tracemalloc.start()
+        try:
+            store = ingest_corpus(records, [schema])
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.n_documents == 20_000
+        assert kept / 20_000 < 200
 
 
 class TestDigest:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fairqr.corpus import GroupSchema, ingest_corpus
 from fairqr.errors import (
+    CorpusLookupError,
     DegenerateExposureError,
     DimensionError,
     NoTargetError,
@@ -76,6 +77,24 @@ class TestExposure:
         with pytest.raises(DegenerateExposureError):
             exposure(ranking([]), store, "gender", 10)
 
+    def test_id_outside_corpus_raises(self):
+        store = store_of({"d1": ["male"]})
+        with pytest.raises(CorpusLookupError):
+            exposure(ranking(["d1", "ghost"]), store, "gender", 10)
+
+    def test_id_outside_corpus_counts_as_unknown_when_asked(self):
+        store = store_of({"d1": ["male"]})
+        dist = exposure(ranking(["d1", "ghost"]), store, "gender", 10,
+                        missing_doc="unknown")
+        assert dist.probabilities.tolist() == [0.5, 0.0, 0.5]
+
+    def test_unknown_category_raises(self):
+        store = store_of({"d1": ["male"]})
+        with pytest.raises(CorpusLookupError):
+            exposure(ranking(["d1"]), store, "age", 10)
+        with pytest.raises(CorpusLookupError):
+            exposure(ranking(["d1"]), store, "age", 10, missing_doc="unknown")
+
 
 class TestTargetFromQrels:
     def test_mean_of_indicators(self):
@@ -107,6 +126,13 @@ class TestTargetFromQrels:
         store = store_of({"d1": ["male"]})
         with pytest.raises(NoTargetError):
             target_from_qrels(Qrels(), store, "q9", "gender")
+
+    def test_unknown_category_raises(self):
+        store = store_of({"d1": ["male"]})
+        qrels = Qrels()
+        qrels.add("q1", "d1", 1)
+        with pytest.raises(CorpusLookupError):
+            target_from_qrels(qrels, store, "q1", "age")
 
 
 class TestKL:
