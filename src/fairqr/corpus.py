@@ -121,8 +121,9 @@ def ingest_corpus(
 ) -> CorpusStore:
     """Build a CorpusStore from parsed JSONL records.
 
-    Unlabeled categories fall back to {"Unknown"}; labels outside the schema
-    and duplicate ids are rejected.
+    A category's labels are a list of strings; an absent, null or empty one
+    falls back to ["Unknown"]. Labels outside the schema and duplicate ids
+    are rejected.
     """
     store = CorpusStore(schemas={s.category: s for s in schemas})
     # per category: its schema, and the (row, column) of every label
@@ -143,8 +144,19 @@ def ingest_corpus(
             raise IngestionError("'groups' must be an object", line_no)
         row = len(store.documents)
         for category, (schema, rows, cols) in marks.items():
-            for label in raw_groups.get(category) or [UNKNOWN]:
+            labels = raw_groups.get(category)
+            if labels is None or labels == []:
+                labels = [UNKNOWN]
+            elif not isinstance(labels, list):
+                raise IngestionError(
+                    f"labels of category {category!r} must be a list of "
+                    f"strings (document {doc_id!r})", line_no)
+            for label in labels:
                 if label not in schema.subgroups:
+                    if not isinstance(label, str):
+                        raise IngestionError(
+                            f"label {label!r} of category {category!r} is not "
+                            f"a string (document {doc_id!r})", line_no)
                     raise SchemaError(
                         f"subgroup {label!r} not in category {category!r} "
                         f"(document {doc_id!r})"

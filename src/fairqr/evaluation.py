@@ -42,8 +42,9 @@ def paired_t_test(a, b) -> tuple[float, float]:
 
     t = mean(d) / (sd(d) / sqrt(n)) with sample sd; p from the Student-t
     distribution with n-1 degrees of freedom via the regularized incomplete
-    beta function. Zero-variance differences degenerate to (0, 1) when the
-    mean is also zero, else (signed inf, 0).
+    beta function. Equal differences (or a spread too small for its square
+    to be a float) degenerate to (0, 1) when the mean is zero, else
+    (signed inf, 0).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -55,16 +56,47 @@ def paired_t_test(a, b) -> tuple[float, float]:
     d = a - b
     mean = d.mean()
     sd = d.std(ddof=1)
-    if sd == 0.0:
+    if np.ptp(d) == 0.0 or sd == 0.0:
         if mean == 0.0:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
-    from scipy.special import betainc  # scipy is loaded only for this test
-
-    t = mean / (sd / math.sqrt(n))
+    t = float(mean / (sd / math.sqrt(n)))
     df = n - 1
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return float(t), p
+    return t, _betainc(df / 2.0, 0.5, df / (df + t * t))
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b) by its continued fraction
+    (Numerical Recipes, 3rd ed., 6.4), taken on the side where it converges
+    fast. Relative error about 1e-12, growing with a: 5e-10 at a = 5e5."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x < (a + 1.0) / (a + b + 2.0):
+        return _beta_fraction(a, b, x)
+    return 1.0 - _beta_fraction(b, a, 1.0 - x)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log1p(-x)) / a
+    tiny = 1e-300  # keeps the modified Lentz recurrences off zero
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):  # converges in O(sqrt(max(a, b))) steps
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x
+                    / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return front * h
 
 
 @dataclass(frozen=True)

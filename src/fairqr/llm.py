@@ -2,10 +2,12 @@
 
 The transport is a callable (url, headers, payload) -> parsed JSON body, so
 tests can stub the wire without a server. API key comes from an environment
-variable, never from config files.
+variable, never from config files. A failed call is retried, except a 4xx
+reply other than 429, which a retry would only repeat.
 """
 from __future__ import annotations
 
+import json
 import os
 from typing import Callable
 
@@ -17,12 +19,23 @@ DEFAULT_MAX_RETRIES = 2
 Transport = Callable[[str, dict, dict], dict]
 
 
-def _requests_transport(url: str, headers: dict, payload: dict) -> dict:
-    import requests  # loaded only when an LLM endpoint is called
+def _urllib_transport(url: str, headers: dict, payload: dict) -> dict:
+    import http.client
+    import urllib.request  # loaded only when an LLM endpoint is called
 
-    resp = requests.post(url, headers=headers, json=payload, timeout=60)
-    resp.raise_for_status()
-    return resp.json()
+    request = urllib.request.Request(url, json.dumps(payload).encode(),
+                                     headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=60) as resp:
+            return json.load(resp)
+    except http.client.HTTPException as exc:  # e.g. IncompleteRead
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _is_client_error(exc: Exception) -> bool:
+    """An HTTP 4xx reply other than 429 (too many requests)."""
+    code = getattr(exc, "code", None)  # urllib.error.HTTPError's status
+    return isinstance(code, int) and 400 <= code < 500 and code != 429
 
 
 class ChatCompletionClient:
@@ -43,7 +56,7 @@ class ChatCompletionClient:
         self.model = model
         self.api_key_env = api_key_env
         self.max_retries = max_retries
-        self.transport = transport or _requests_transport
+        self.transport = transport or _urllib_transport
 
     def complete(self, prompt: str, temperature: float) -> str:
         """One chat completion; returns the assistant message content."""
@@ -57,14 +70,18 @@ class ChatCompletionClient:
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temperature,
         }
-        last_error: Exception | None = None
-        for _ in range(1 + self.max_retries):
+        attempts = 0
+        while True:
+            attempts += 1
             try:
                 body = self.transport(url, headers, payload)
                 return body["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, TypeError, OSError) as exc:
-                last_error = exc  # OSError covers requests.RequestException
-        raise RefinerError(
-            f"chat completion failed after {1 + self.max_retries} attempts: "
-            f"{last_error}"
-        )
+            except (KeyError, IndexError, TypeError, OSError, ValueError) as exc:
+                # OSError: URLError, HTTPError, timeouts, dropped connections;
+                # ValueError: a body that is not JSON or not UTF-8
+                if attempts > self.max_retries or _is_client_error(exc):
+                    plural = "s" if attempts > 1 else ""
+                    raise RefinerError(
+                        f"chat completion failed after {attempts} "
+                        f"attempt{plural}: {exc}"
+                    ) from exc

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import socket
 import subprocess
@@ -162,7 +163,7 @@ class TestRunCmd:
         def no_socket(*args, **kwargs):
             raise AssertionError("a socket was opened")
 
-        monkeypatch.setattr("fairqr.llm._requests_transport", down)
+        monkeypatch.setattr("fairqr.llm._urllib_transport", down)
         monkeypatch.setattr(socket.socket, "connect", no_socket)
         args = (["run", "fairqr", "--refiner", "llm", "--base-url",
                  "http://llm.invalid/v1", "--model", "m"] + workspace["common"])
@@ -273,6 +274,22 @@ class TestStaleInputs:
         assert str(index_file) in err and "rerun `fairqr index`" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("labels", [5, "male", {"male": 1}],
+                             ids=["int", "str", "dict"])
+    def test_labels_not_a_list_of_strings_are_data_error(
+            self, workspace, tmp_path, capsys, labels):
+        corpus = tmp_path / "corpus.jsonl"
+        records = [{"id": "d1", "text": "solar", "groups": {}},
+                   {"id": "d2", "text": "wind", "groups": {"gender": labels}}]
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        args = ["run", "bm25"] + workspace["common"]
+        args[args.index(str(workspace["data"] / "corpus.jsonl"))] = str(corpus)
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2:")
+        assert "'gender'" in err and "'d2'" in err
+
     @pytest.mark.parametrize("masses", [
         {"male": 0.4, "female": 0.2},                # sums to 0.6
         {"male": 0.5, "female": 0.3, "other": 0.2},  # label outside schema
@@ -379,6 +396,36 @@ class TestStartup:
                              capture_output=True, text=True, timeout=60,
                              env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "[]"
+
+
+    def test_eval_run_b_loads_neither_scipy_nor_requests(self, workspace,
+                                                          tmp_path):
+        src = os.path.dirname(os.path.dirname(fairqr.__file__))
+        data, runs = workspace["data"], workspace["runs"]
+        # run-b loses q00's top 10, so the per-query differences vary and
+        # the t-test reaches its p-value
+        rows = [line.split() for line in
+                (runs / "run-bm25.txt").read_text().splitlines()]
+        run_b = tmp_path / "run-b.txt"
+        run_b.write_text("".join(
+            " ".join(row[:3] + [str(int(row[3]) - 10)] + row[4:]) + "\n"
+            if row[0] == "q00" else " ".join(row) + "\n"
+            for row in rows if row[0] != "q00" or int(row[3]) > 10))
+        code = ("import sys; from fairqr.cli import main; rc = main(sys.argv[1:]);"
+                " print(rc, sorted({m.split('.')[0] for m in sys.modules}"
+                " & {'scipy', 'requests'}))")
+        args = ["eval", str(runs / "run-fairqr.txt"),
+                "--run-b", str(run_b),
+                "--corpus", str(data / "corpus.jsonl"),
+                "--schema", str(data / "schema.json"),
+                "--qrels", str(data / "qrels.txt"), "--out", str(tmp_path)]
+        out = subprocess.run([sys.executable, "-c", code, *args], check=True,
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.splitlines()[-1] == "0 []"
+        report = json.loads((tmp_path / "report-run-fairqr.json").read_text())
+        ndcg = report["significance"]["metrics"]["ndcg@20"]
+        assert math.isfinite(ndcg["t"]) and 0.0 < ndcg["p"] < 1.0
 
 
 class TestUsage:

@@ -90,6 +90,21 @@ class TestIngest:
                 [{"id": "d1", "text": "x"}, {"text": "no id"}], [GENDER]
             )
 
+    @pytest.mark.parametrize("labels", [5, "male", {"male": 1}, ["male", 5]],
+                             ids=["int", "str", "dict", "list-with-int"])
+    def test_labels_must_be_a_list_of_strings(self, labels):
+        records = [{"id": "d1", "text": "x", "groups": {}},
+                   {"id": "d2", "text": "y", "groups": {"gender": labels}}]
+        with pytest.raises(IngestionError, match="line 2") as info:
+            ingest_corpus(records, [GENDER])
+        assert "'gender'" in str(info.value) and "'d2'" in str(info.value)
+
+    @pytest.mark.parametrize("labels", [None, []])
+    def test_null_or_empty_labels_are_unknown(self, labels):
+        records = [{"id": "d1", "text": "x", "groups": {"gender": labels}}]
+        store = ingest_corpus(records, [GENDER])
+        assert group_vector(store, "d1", "gender").tolist() == [0.0, 0.0, 1.0]
+
     def test_token_totals(self):
         records = [
             {"id": "d1", "text": "a b c", "groups": {}},

@@ -103,6 +103,22 @@ class TestPairedTTest:
         assert math.isinf(t) and t > 0
         assert p == 0.0
 
+    def test_equal_differences_are_zero_variance(self):
+        # the mean of three 0.1s is not 0.1, so the sample sd is about 1e-17
+        assert paired_t_test([0.1] * 3, [0.0] * 3) == (math.inf, 0.0)
+        assert paired_t_test([0.0] * 3, [0.1] * 3) == (-math.inf, 0.0)
+
+    @pytest.mark.parametrize("n, noise", [
+        (3, 1e-7), (5, 1e-4), (10, 1e-3), (30, 0.05), (200, 0.2)])
+    def test_tiny_p_keeps_relative_accuracy(self, n, noise):
+        rng = np.random.default_rng(n)
+        a = 1.0 + rng.normal(0.0, noise, n)
+        b = rng.normal(0.0, noise, n)
+        t, p = paired_t_test(a, b)
+        expected = 2.0 * stats.t.sf(abs(t), n - 1)
+        assert 0.0 < expected < 1e-12
+        assert p == pytest.approx(expected, rel=1e-9)
+
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             paired_t_test([1.0], [2.0])

@@ -1,7 +1,15 @@
+import http.client
+import io
+import json
 import re
 import sys
+import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.error import HTTPError, URLError
 
 import pytest
 
@@ -143,21 +151,45 @@ class TestLLMRefiner:
         assert len(calls) == 3  # 1 attempt + 2 retries
 
     @pytest.mark.parametrize("error", [
-        "HTTPError", "ConnectionError", "Timeout", "JSONDecodeError"])
-    def test_requests_errors_are_retried(self, error):
-        requests = pytest.importorskip("requests")
+        "HTTPError", "URLError", "Timeout", "ConnectionError",
+        "IncompleteRead", "JSONDecodeError", "UnicodeDecodeError"])
+    def test_requests_errors_are_retried(self, monkeypatch, error):
+        # each failure the stdlib transport can meet, raised by urlopen or
+        # met reading its body
+        bodies = {"JSONDecodeError": b"<html>", "UnicodeDecodeError": b"\xff"}
+        raised = {
+            "HTTPError": HTTPError("http://stub", 500, "Server Error", {}, None),
+            "URLError": URLError("down"),
+            "Timeout": TimeoutError("timed out"),
+            "ConnectionError": ConnectionResetError("reset"),
+            "IncompleteRead": http.client.IncompleteRead(b"{", 10),
+        }
+        calls = []
+
+        def urlopen(request, timeout):
+            calls.append(1)
+            if error in bodies:
+                return io.BytesIO(bodies[error])
+            raise raised[error]
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        refiner = LLMRefiner(ChatCompletionClient("http://stub", "m"), SUBS)
+        with pytest.raises(RefinerError, match="after 3 attempts"):
+            refiner.refine("q", TARGET, CURRENT, 20, "female")
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("code, attempts", [
+        (400, 1), (404, 1), (429, 3), (500, 3)])
+    def test_client_error_is_not_retried(self, code, attempts):
         calls = []
 
         def transport(url, headers, payload):
             calls.append(1)
-            if error == "JSONDecodeError":
-                raise requests.JSONDecodeError("bad body", "<html>", 0)
-            raise getattr(requests, error)("down")
+            raise HTTPError(url, code, "status", {}, None)
 
-        refiner = LLMRefiner(self._client(transport), SUBS)
-        with pytest.raises(RefinerError):
-            refiner.refine("q", TARGET, CURRENT, 20, "female")
-        assert len(calls) == 3
+        with pytest.raises(RefinerError, match=f"HTTP Error {code}"):
+            self._client(transport).complete("q", 0.0)
+        assert len(calls) == attempts
 
     def test_markerless_response_is_parse_error(self):
         def transport(url, headers, payload):
@@ -182,6 +214,72 @@ def small_collection():
     ]
     store = ingest_corpus(records, [GroupSchema("gender", SUBS)])
     return store, build_index(store)
+
+
+@contextmanager
+def chat_server(status, reply, seen):
+    """A one-thread HTTP server on 127.0.0.1 answering every POST with
+    `status` and the JSON `reply`; records each request in `seen`."""
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            length = int(self.headers["Content-Length"])
+            seen.append((self.path, self.headers, self.rfile.read(length)))
+            data = json.dumps(reply).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestUrllibTransport:
+    @pytest.fixture(autouse=True)
+    def no_proxy(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+
+    def test_loopback_round_trip(self, monkeypatch):
+        monkeypatch.setenv("FAIRQR_API_KEY", "secret-key")
+        seen = []
+        content = "Résumé\nREFINED_QUERY: solar women"
+        reply = {"choices": [{"message": {"role": "assistant",
+                                          "content": content}}]}
+        with chat_server(200, reply, seen) as url:
+            client = ChatCompletionClient(url, "test-model")
+            assert client.complete("hello", 0.25) == content
+        [(path, headers, body)] = seen
+        assert path == "/v1/chat/completions"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer secret-key"
+        assert json.loads(body) == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": "hello"}],
+            "temperature": 0.25,
+        }
+
+    def test_loopback_client_error_is_one_call(self, monkeypatch):
+        monkeypatch.delenv("FAIRQR_API_KEY", raising=False)
+        seen = []
+        with chat_server(404, {"error": "no such model"}, seen) as url:
+            with pytest.raises(RefinerError, match="after 1 attempt: HTTP"):
+                ChatCompletionClient(url, "m").complete("hello", 0.0)
+        assert len(seen) == 1
+        assert "Authorization" not in seen[0][1]
 
 
 class TestFairQRLoop:
