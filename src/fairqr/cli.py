@@ -225,8 +225,6 @@ def _make_refiner(config, store):
 def cmd_gen(args) -> int:
     config = _merge_config(args)
     _require(config, "out")
-    outdir = config["out"]
-    os.makedirs(outdir, exist_ok=True)
     spec = synthetic.SkewSpec(
         seed=config["seed"],
         doc_count=args.docs,
@@ -235,6 +233,8 @@ def cmd_gen(args) -> int:
         category=config["category"],
     )
     records, queries, qrels_rows, lexicon = synthetic.generate(spec)
+    outdir = config["out"]
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "corpus.jsonl"), "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -340,8 +340,7 @@ def cmd_eval(args) -> int:
     qrels = parse_qrels(config["qrels"])
     category = config["category"]
     run_a = parse_run(args.run)
-    targets_flat = _targets_for(config, store, qrels, sorted(run_a))
-    targets = {qid: {category: t} for qid, t in targets_flat.items()}
+    targets = _targets_for(config, store, qrels, sorted(run_a))
     k = config["k"]
     report = evaluate_run(run_a, qrels, targets, store, k)
     if args.run_b:

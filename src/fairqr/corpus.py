@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     CorpusLookupError,
-    DuplicateIdError,
     IngestionError,
     SchemaError,
 )
@@ -138,7 +137,7 @@ def ingest_corpus(
         if not isinstance(text, str):
             raise IngestionError("missing or invalid 'text'", line_no)
         if doc_id in store.documents:
-            raise DuplicateIdError(f"duplicate document id {doc_id!r}")
+            raise IngestionError(f"duplicate document id {doc_id!r}", line_no)
         raw_groups = record.get("groups", {})
         if not isinstance(raw_groups, dict):
             raise IngestionError("'groups' must be an object", line_no)

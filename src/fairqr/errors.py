@@ -27,10 +27,6 @@ class SchemaError(FairQRError):
     """Group label or category not declared in the schema."""
 
 
-class DuplicateIdError(FairQRError):
-    """Document id seen more than once during ingestion."""
-
-
 class CorpusLookupError(FairQRError):
     """Unknown document id or category."""
 
@@ -41,10 +37,6 @@ class IndexBuildError(FairQRError):
 
 class EmptyQueryError(FairQRError):
     """Query tokenized to nothing."""
-
-
-class DimensionError(FairQRError):
-    """Distribution vectors of mismatched length."""
 
 
 class DegenerateExposureError(FairQRError):
@@ -73,14 +65,6 @@ class RefinerError(FairQRError):
 
 class LexiconError(RefinerError):
     """Subgroup has no lexicon entry."""
-
-
-class InputError(FairQRError):
-    """Invalid arguments to an evaluation routine."""
-
-
-class SpecError(FairQRError):
-    """Invalid synthetic-corpus specification."""
 
 
 class RunFileError(LineError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CorpusStore
-from .errors import InputError, NoTargetError
+from .errors import UsageError
 from .fairness import FairnessTarget, awrf
 from .index import RankedList
 from .trec import Qrels
@@ -19,7 +19,7 @@ from .trec import Qrels
 
 def ndcg_at_k(ranked: RankedList, qrels: Qrels, query_id: str, k: int) -> float:
     if k < 1:
-        raise InputError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     judged = qrels.judgments(query_id)
     ideal = sorted((g for g in judged.values() if g > 0), reverse=True)
     idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal[:k], start=1))
@@ -49,10 +49,10 @@ def paired_t_test(a, b) -> tuple[float, float]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise InputError(f"length mismatch: {a.shape} vs {b.shape}")
+        raise UsageError(f"length mismatch: {a.shape} vs {b.shape}")
     n = a.size
     if n < 2:
-        raise InputError("need at least 2 paired observations")
+        raise UsageError("need at least 2 paired observations")
     d = a - b
     mean = d.mean()
     sd = d.std(ddof=1)
@@ -137,35 +137,30 @@ class RunReport:
 def evaluate_run(
     run: dict[str, RankedList],
     qrels: Qrels,
-    targets: dict[str, dict[str, FairnessTarget]],
+    targets: dict[str, FairnessTarget],
     store: CorpusStore,
     k: int,
 ) -> RunReport:
-    """Per-query nDCG@k and AWRF@k per category, aggregated by mean.
+    """Per-query nDCG@k and AWRF@k in the target's category, aggregated by
+    mean.
 
-    Queries lacking a target for any evaluated category are excluded from
-    aggregates and listed in the report.
+    Queries lacking a target are excluded from aggregates and listed in the
+    report.
     """
     report = RunReport(k=k)
     for query_id in sorted(run):
         ranked = run[query_id]
-        query_targets = targets.get(query_id, {})
-        try:
-            awrf_by_cat = {
-                cat: awrf(ranked, tgt, store, k, missing_doc="unknown")
-                for cat, tgt in sorted(query_targets.items())
-            }
-            if not awrf_by_cat:
-                raise NoTargetError(f"no targets for query {query_id!r}")
-        except NoTargetError:
+        target = targets.get(query_id)
+        if target is None:
             report.excluded.append(query_id)
             continue
+        fairness = awrf(ranked, target, store, k, missing_doc="unknown")
         ndcg = ndcg_at_k(ranked, qrels, query_id, k)
         row = QueryRow(
             query_id=query_id,
             ndcg=ndcg,
-            awrf=awrf_by_cat,
-            product={c: composite(ndcg, a) for c, a in awrf_by_cat.items()},
+            awrf={target.category: fairness},
+            product={target.category: composite(ndcg, fairness)},
         )
         report.rows.append(row)
     return report

@@ -13,7 +13,6 @@ import numpy as np
 from .corpus import CorpusStore
 from .errors import (
     DegenerateExposureError,
-    DimensionError,
     NoTargetError,
     UsageError,
 )
@@ -102,7 +101,7 @@ def _as_vector(dist) -> np.ndarray:
 
 def _check_lengths(p: np.ndarray, q: np.ndarray) -> None:
     if p.shape != q.shape:
-        raise DimensionError(f"length mismatch: {p.shape} vs {q.shape}")
+        raise UsageError(f"length mismatch: {p.shape} vs {q.shape}")
 
 
 def kl_divergence(p, q, smoothing: float = KL_SMOOTHING) -> float:
@@ -148,6 +147,6 @@ def most_underrepresented(current, target, subgroups) -> str:
     cur, tgt = _as_vector(current), _as_vector(target)
     _check_lengths(cur, tgt)
     if len(subgroups) != len(cur):
-        raise DimensionError("subgroup labels do not match distribution length")
+        raise UsageError("subgroup labels do not match distribution length")
     deficits = tgt - cur
     return subgroups[int(np.argmax(deficits))]

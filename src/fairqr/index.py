@@ -30,8 +30,8 @@ from .errors import (
     UsageError,
 )
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+K1 = 1.2  # BM25 parameters, the same for every index
+B = 0.75
 
 INDEX_FORMAT = "fairqr-index"
 INDEX_VERSION = 2
@@ -94,8 +94,6 @@ class InvertedIndex:
     fields.
     """
 
-    k1: float
-    b: float
     doc_ids: tuple[str, ...]
     vocabulary: dict[str, int]
     indptr: np.ndarray
@@ -108,21 +106,21 @@ class InvertedIndex:
 
     def __post_init__(self):
         """Every posting's gain, in the per-document formula's operand order
-        (`idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))`),
+        (`idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / avgdl))`),
         so each is bit-identical to it. A posting's document has dl >= 1, so
         avgdl > 0 wherever it is read."""
-        n, k1, b = self.n_documents, self.k1, self.b
+        n = self.n_documents
         self.avgdl = int(self.lengths.sum()) / n
         df = np.diff(self.indptr)
         idf = {d: log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in set(df.tolist())}
-        norm = self.lengths[self.positions] * b
+        norm = self.lengths[self.positions] * B
         norm /= self.avgdl
-        norm += 1.0 - b
-        norm *= k1
+        norm += 1.0 - B
+        norm *= K1
         norm += self.tf
         gains = np.repeat(np.array([idf[d] for d in df.tolist()]), df)
         gains *= self.tf
-        gains *= k1 + 1.0
+        gains *= K1 + 1.0
         gains /= norm
         self.gains = gains
         for name in _ARRAYS + ("gains",):
@@ -131,9 +129,8 @@ class InvertedIndex:
     def __eq__(self, other):
         if not isinstance(other, InvertedIndex):
             return NotImplemented
-        return ((self.k1, self.b, self.doc_ids, self.vocabulary, self.digest)
-                == (other.k1, other.b, other.doc_ids, other.vocabulary,
-                    other.digest)
+        return ((self.doc_ids, self.vocabulary, self.digest)
+                == (other.doc_ids, other.vocabulary, other.digest)
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in _ARRAYS))
 
@@ -150,21 +147,12 @@ class InvertedIndex:
         return self.positions[lo:hi], self.gains[lo:hi]
 
 
-def _check_parameters(k1, b) -> None:
-    if k1 <= 0 or not (0.0 <= b <= 1.0):
-        raise IndexBuildError(f"invalid BM25 parameters k1={k1}, b={b}")
-
-
-def build_index(
-    store: CorpusStore, k1: float = DEFAULT_K1, b: float = DEFAULT_B
-) -> InvertedIndex:
+def build_index(store: CorpusStore) -> InvertedIndex:
     if store.n_documents == 0:
         raise IndexBuildError("cannot index an empty corpus")
-    _check_parameters(k1, b)
     doc_ids = tuple(sorted(store.documents))
     vocabulary, counts = _count_terms(store, doc_ids)
-    return InvertedIndex(k1, b, doc_ids, vocabulary, *counts,
-                         corpus_digest(store))
+    return InvertedIndex(doc_ids, vocabulary, *counts, corpus_digest(store))
 
 
 def _count_terms(store: CorpusStore, doc_ids: tuple[str, ...]):
@@ -271,15 +259,15 @@ def save_index(index: InvertedIndex, path) -> None:
     """Write the index as a version-2 `.npz` archive at exactly `path`.
 
     The archive holds the counts (`indptr`, `positions`, `tf`, `lengths`) and
-    `meta`, a UTF-8 JSON object with the format, version, k1, b, digest, doc
-    ids and terms (in id order). The gains are not saved; `load_index` makes
-    them from the counts as `build_index` does.
+    `meta`, a UTF-8 JSON object with the format, version, k1, b (always K1
+    and B), digest, doc ids and terms (in id order). The gains are not saved;
+    `load_index` makes them from the counts as `build_index` does.
     """
     meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "k1": index.k1,
-        "b": index.b,
+        "k1": K1,
+        "b": B,
         "digest": index.digest,
         "doc_ids": list(index.doc_ids),
         "terms": sorted(index.vocabulary, key=index.vocabulary.__getitem__),
@@ -293,8 +281,9 @@ def save_index(index: InvertedIndex, path) -> None:
 def load_index(path) -> InvertedIndex:
     """Read an index that `save_index` wrote.
 
-    Anything else, including an index of another version and an archive whose
-    arrays disagree with each other, raises IndexBuildError.
+    Anything else, including an index of another version or other BM25
+    parameters and an archive whose arrays disagree with each other, raises
+    IndexBuildError.
     """
     with open(path, "rb") as fh:
         try:
@@ -323,12 +312,12 @@ def _checked_index(meta, indptr, positions, tf, lengths) -> InvertedIndex:
         raise ValueError(f"version {meta.get('version')!r}")
     k1, b, digest = meta.get("k1"), meta.get("b"), meta.get("digest")
     doc_ids, terms = meta.get("doc_ids"), meta.get("terms")
-    if not (all(type(v) in (int, float) for v in (k1, b))
-            and isinstance(digest, str)
+    if (k1, b) != (K1, B):
+        raise ValueError(f"BM25 parameters k1={k1!r}, b={b!r}, not {K1}, {B}")
+    if not (isinstance(digest, str)
             and all(isinstance(v, list) and all(isinstance(s, str) for s in v)
                     for v in (doc_ids, terms))):
         raise ValueError("malformed meta")
-    _check_parameters(k1, b)
     n = len(doc_ids)
     if n == 0 or any(x >= y for x, y in zip(doc_ids, doc_ids[1:])):
         raise ValueError("doc ids are not unique and sorted")
@@ -356,5 +345,5 @@ def _checked_index(meta, indptr, positions, tf, lengths) -> InvertedIndex:
         positions, tf = positions[order], tf[order]
     if (same_row & (positions[1:] == positions[:-1])).any():
         raise ValueError("a term lists a document twice")
-    return InvertedIndex(k1, b, tuple(doc_ids), vocabulary,
+    return InvertedIndex(tuple(doc_ids), vocabulary,
                          indptr, positions, tf, lengths, digest)

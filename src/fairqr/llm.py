@@ -1,9 +1,10 @@
 """Minimal chat-completion HTTP client with retries and injectable transport.
 
 The transport is a callable (url, headers, payload) -> parsed JSON body, so
-tests can stub the wire without a server. API key comes from an environment
-variable, never from config files. A failed call is retried, except a 4xx
-reply other than 429, which a retry would only repeat.
+tests can stub the wire without a server. The API key comes from the
+FAIRQR_API_KEY environment variable, never from config files. A failed call
+is retried up to MAX_RETRIES times, except a 4xx reply other than 429, which
+a retry would only repeat.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable
 from .errors import RefinerError
 
 API_KEY_ENV = "FAIRQR_API_KEY"
-DEFAULT_MAX_RETRIES = 2
+MAX_RETRIES = 2  # so a call is tried up to three times
 
 Transport = Callable[[str, dict, dict], dict]
 
@@ -48,21 +49,17 @@ class ChatCompletionClient:
         self,
         base_url: str,
         model: str,
-        api_key_env: str = API_KEY_ENV,
-        max_retries: int = DEFAULT_MAX_RETRIES,
         transport: Transport | None = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
-        self.api_key_env = api_key_env
-        self.max_retries = max_retries
         self.transport = transport or _urllib_transport
 
     def complete(self, prompt: str, temperature: float) -> str:
         """One chat completion; returns the assistant message content."""
         url = f"{self.base_url}/chat/completions"
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env)
+        api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         payload = {
@@ -79,7 +76,7 @@ class ChatCompletionClient:
             except (KeyError, IndexError, TypeError, OSError, ValueError) as exc:
                 # OSError: URLError, HTTPError, timeouts, dropped connections;
                 # ValueError: a body that is not JSON or not UTF-8
-                if attempts > self.max_retries or _is_client_error(exc):
+                if attempts > MAX_RETRIES or _is_client_error(exc):
                     plural = "s" if attempts > 1 else ""
                     raise RefinerError(
                         f"chat completion failed after {attempts} "

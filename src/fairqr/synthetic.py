@@ -1,13 +1,14 @@
 """Deterministic synthetic corpora with controlled group skew.
 
 Each topic gets a dedicated topic term; a document's text mixes that term,
-its subgroup's marker terms, and filler. Majority-subgroup documents repeat
-the topic term and stay short, so they dominate baseline retrieval; half of
-each minority subgroup's documents mention the topic only once and are
-longer, so filler documents that happen to contain the topic term outrank
-them. Appending a subgroup's marker (what the lexicon refiner does) pulls
-those weak documents back into the top ranks, which is exactly the headroom
-the refinement loop needs to demonstrate a fairness gain.
+its subgroup's marker term (`marker<subgroup>`), and filler. Majority-
+subgroup documents repeat the topic term and stay short, so they dominate
+baseline retrieval; half of each minority subgroup's documents mention the
+topic only once and are longer, so filler documents that happen to contain
+the topic term outrank them. Appending a subgroup's marker (what the lexicon
+refiner does) pulls those weak documents back into the top ranks, which is
+exactly the headroom the refinement loop needs to demonstrate a fairness
+gain.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .corpus import UNKNOWN
-from .errors import SpecError
+from .errors import UsageError
 
 FILLER_VOCAB = [
     "report", "study", "history", "overview", "record", "notes", "profile",
@@ -36,23 +37,16 @@ class SkewSpec:
     proportions: dict[str, float] = field(
         default_factory=lambda: {"male": 0.8, "female": 0.2}
     )
-    markers: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.doc_count < self.topic_count:
-            raise SpecError("doc_count must be >= topic_count")
+        if not (1 <= self.topic_count <= self.doc_count):
+            raise UsageError("topic_count must be in [1, doc_count]")
         if not (0.0 < self.skew < 1.0):
-            raise SpecError("skew must be in (0, 1)")
+            raise UsageError("skew must be in (0, 1)")
         if any(p < 0 for p in self.proportions.values()):
-            raise SpecError("proportions must be nonnegative")
+            raise UsageError("proportions must be nonnegative")
         if abs(sum(self.proportions.values()) - 1.0) > 1e-9:
-            raise SpecError("proportions must sum to 1")
-        if not self.markers:
-            object.__setattr__(
-                self,
-                "markers",
-                {s: [f"marker{s}"] for s in self.proportions},
-            )
+            raise UsageError("proportions must sum to 1")
 
     @property
     def subgroups(self) -> tuple[str, ...]:
@@ -62,6 +56,10 @@ class SkewSpec:
 
 def _topic_term(topic: int) -> str:
     return f"topic{topic:02d}"
+
+
+def _marker(subgroup: str) -> str:
+    return f"marker{subgroup}"
 
 
 def generate(spec: SkewSpec):
@@ -89,7 +87,7 @@ def generate(spec: SkewSpec):
         n_major = round(spec.skew * docs_per_topic)
         n_minor_total = docs_per_topic - n_major
         if minorities and n_minor_total < len(minorities):
-            raise SpecError(
+            raise UsageError(
                 "skew leaves fewer documents than minority subgroups"
             )
         assignment = [majority] * n_major
@@ -109,7 +107,7 @@ def generate(spec: SkewSpec):
 
         for j, subgroup in enumerate(assignment):
             doc_id = f"d{topic:02d}-{j:03d}"
-            marker = spec.markers[subgroup][0]
+            marker = _marker(subgroup)
             # minority docs alternate strong/weak; odd ones score poorly on
             # the bare topic query but carry extra marker weight
             minority = subgroup != majority
@@ -134,7 +132,7 @@ def generate(spec: SkewSpec):
             )
             qrels_rows.append((query_id, doc_id, 1))
 
-    lexicon = {sub: list(words) for sub, words in spec.markers.items()}
+    lexicon = {sub: [_marker(sub)] for sub in spec.proportions}
     lexicon.setdefault(UNKNOWN, ["unlabeled"])
     return records, queries, qrels_rows, lexicon
 

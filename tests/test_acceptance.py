@@ -287,7 +287,7 @@ def test_criterion_6_format_interop(pipeline, tmp_path):
         ExposureDistribution("gender", [0.5, 0.5, 0.0]), "explicit",
     )
     report = evaluate_run(
-        run, fixture_qrels, {q: {"gender": target} for q in run}, store, k=2
+        run, fixture_qrels, {q: target for q in run}, store, k=2
     )
     rows = {r.query_id: r for r in report.rows}
     # q1/q3: both relevant docs retrieved in ideal order, balanced exposure

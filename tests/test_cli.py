@@ -51,6 +51,21 @@ class TestGen:
                 workspace["data"] / name
             ).read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--topics", "0"],
+        ["--docs", "5", "--topics", "-1"],
+        ["--docs", "3", "--topics", "5"],
+        ["--skew", "1.0"],
+    ], ids=["no topics", "negative topics", "more topics than docs",
+            "skew 1"])
+    def test_option_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                                 flags):
+        assert main(["gen", "--out", str(tmp_path)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "corpus.jsonl").exists()
+
 
 class TestIndexCmd:
     def test_build_and_stats(self, workspace, tmp_path, capsys):

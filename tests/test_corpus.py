@@ -14,7 +14,6 @@ from fairqr.corpus import (
 )
 from fairqr.errors import (
     CorpusLookupError,
-    DuplicateIdError,
     IngestionError,
     SchemaError,
 )
@@ -81,7 +80,7 @@ class TestIngest:
             {"id": "d1", "text": "x", "groups": {}},
             {"id": "d1", "text": "y", "groups": {}},
         ]
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(IngestionError, match="line 2"):
             ingest_corpus(records, [GENDER])
 
     def test_malformed_record_reports_line(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fairqr.corpus import GroupSchema, ingest_corpus
-from fairqr.errors import InputError, RunFileError
+from fairqr.errors import RunFileError, UsageError
 from fairqr.evaluation import (
     composite,
     evaluate_run,
@@ -120,9 +120,9 @@ class TestPairedTTest:
         assert p == pytest.approx(expected, rel=1e-9)
 
     def test_too_short_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(UsageError):
             paired_t_test([1.0], [2.0])
-        with pytest.raises(InputError):
+        with pytest.raises(UsageError):
             paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
 
     @given(
@@ -165,7 +165,7 @@ def three_query_fixture():
         "*", "gender",
         ExposureDistribution("gender", [0.5, 0.5, 0.0]), "explicit",
     )
-    targets = {q: {"gender": target} for q in run}
+    targets = {q: target for q in run}
     return store, qrels, run, targets
 
 
@@ -198,7 +198,7 @@ class TestEvaluateRun:
         assert report.aggregates["ndcg"] == pytest.approx(
             (1.0 + ndcg_q2 + 1.0) / 3, abs=1e-9
         )
-        awrf_q2 = awrf(run["q2"], targets["q2"]["gender"], store, 2)
+        awrf_q2 = awrf(run["q2"], targets["q2"], store, 2)
         assert report.aggregates["awrf.gender"] == pytest.approx(
             (1.0 + awrf_q2 + 1.0) / 3, abs=1e-9
         )

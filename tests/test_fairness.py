@@ -9,8 +9,8 @@ from fairqr.corpus import GroupSchema, ingest_corpus
 from fairqr.errors import (
     CorpusLookupError,
     DegenerateExposureError,
-    DimensionError,
     NoTargetError,
+    UsageError,
 )
 from fairqr.fairness import (
     ExposureDistribution,
@@ -151,7 +151,7 @@ class TestKL:
         )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError):
             kl_divergence([1.0], [0.5, 0.5])
 
     @given(simplex(4), simplex(4))

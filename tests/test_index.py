@@ -276,6 +276,8 @@ class TestPersistence:
         ("lengths too short", "lengths disagree"),
         ("lengths disagree", "lengths disagree"),
         ("document twice in a term", "twice"),
+        ("k1 2.0", "k1=2.0"),
+        ("b 0.5", "b=0.5"),
     ])
     def test_malformed_file_is_rejected(self, tmp_path, damage, reason):
         # postings a: d1 (tf 2); b: d1, d2; c: d2, d3
@@ -302,6 +304,10 @@ class TestPersistence:
                 meta["doc_ids"] = ["d2", "d1", "d3"]
             elif damage == "meta not an object":
                 meta = ["fairqr-index"]
+            elif damage == "k1 2.0":
+                meta["k1"] = 2.0
+            elif damage == "b 0.5":
+                meta["b"] = 0.5
             elif damage == "indptr not monotone":
                 arrays["indptr"] = np.array([0, 3, 2, 5])
             elif damage == "indptr too short":

@@ -1,4 +1,5 @@
-"""numpy is the only runtime dependency; scipy and requests stay out."""
+"""numpy is the only runtime dependency, scipy and requests stay out, and
+every error class is in use."""
 import ast
 import sys
 from pathlib import Path
@@ -37,3 +38,46 @@ def test_pyproject_declares_numpy_only():
     with open(pyproject, "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == ["numpy"]
+
+
+def error_bases() -> dict[str, set[str]]:
+    """Each class defined in errors.py, with the names of its bases."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    return {node.name: {base.id for base in node.bases
+                        if isinstance(base, ast.Name)}
+            for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def exception_names(expr) -> set[str]:
+    """The class names a `raise` or `except` expression names: `E`, `E(...)`,
+    `module.E` or a tuple of them."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    if isinstance(expr, ast.Tuple):
+        return set().union(*map(exception_names, expr.elts))
+    if isinstance(expr, ast.Attribute):
+        return {expr.attr}
+    return {expr.id} if isinstance(expr, ast.Name) else set()
+
+
+def raised_or_caught() -> set[str]:
+    """Every class name raised or caught anywhere in the package."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                names |= exception_names(node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names |= exception_names(node.type)
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    bases = error_bases()
+    live = raised_or_caught() & set(bases)
+    pending = list(live)
+    while pending:  # a base class of a live class is live too
+        for base in bases[pending.pop()] & set(bases) - live:
+            live.add(base)
+            pending.append(base)
+    assert set(bases) - live == set()

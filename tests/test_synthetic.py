@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fairqr.corpus import GroupSchema, group_vector, ingest_corpus
-from fairqr.errors import SpecError
+from fairqr.errors import UsageError
 from fairqr.fairness import exposure
 from fairqr.index import build_index, retrieve
 from fairqr.synthetic import SkewSpec, generate
@@ -11,19 +11,19 @@ from fairqr.synthetic import SkewSpec, generate
 
 class TestSkewSpec:
     def test_bad_proportions_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(UsageError):
             SkewSpec(seed=1, doc_count=100, topic_count=5, skew=0.8,
                      proportions={"male": 0.7, "female": 0.2})
-        with pytest.raises(SpecError):
+        with pytest.raises(UsageError):
             SkewSpec(seed=1, doc_count=100, topic_count=5, skew=0.8,
                      proportions={"male": 1.2, "female": -0.2})
 
     def test_doc_count_vs_topics(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(UsageError):
             SkewSpec(seed=1, doc_count=3, topic_count=5, skew=0.8)
 
     def test_skew_bounds(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(UsageError):
             SkewSpec(seed=1, doc_count=100, topic_count=5, skew=1.0)
 
     def test_schema_ends_with_unknown(self):
