@@ -145,8 +145,13 @@ def evaluate_run(
     mean.
 
     Queries lacking a target are excluded from aggregates and listed in the
-    report.
+    report. Every target must be of one category, which the report's columns
+    and means are of.
     """
+    categories = sorted({t.category for t in targets.values()})
+    if len(categories) > 1:
+        raise UsageError("targets of more than one category: "
+                         + ", ".join(categories))
     report = RunReport(k=k)
     for query_id in sorted(run):
         ranked = run[query_id]

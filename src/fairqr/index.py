@@ -9,6 +9,11 @@ indptr[t + 1] of `positions` (documents, as positions in the sorted doc
 ids, ascending), `tf` and `gains` (each posting's BM25 gain), so a query's
 scores are sums of gain slices. The counts are the persisted form; the gains
 are made from them in one vectorised pass, on build and on load alike.
+
+`retrieve` is MaxScore top-k evaluation (Turtle & Flood, 1995): it scores
+only the postings of the query terms with the largest gains, adding the
+next term's until no document outside them can reach the pool, so a common
+term's postings are looked up, not all read.
 """
 from __future__ import annotations
 
@@ -89,7 +94,8 @@ class InvertedIndex:
 
     `doc_ids` are sorted; a posting's position indexes them and `lengths`.
     `digest` is `corpus_digest` of the corpus the index was built from.
-    `avgdl` and `gains` are derived from the other fields. Every array is
+    `avgdl`, `gains` and `max_gains` (each term's largest gain, 0.0 for a
+    term without postings) are derived from the other fields. Every array is
     read-only, so concurrent retrieval is safe; `==` compares the persisted
     fields.
     """
@@ -103,6 +109,7 @@ class InvertedIndex:
     digest: str
     avgdl: float = field(init=False)
     gains: np.ndarray = field(init=False, repr=False)
+    max_gains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         """Every posting's gain, in the per-document formula's operand order
@@ -123,7 +130,11 @@ class InvertedIndex:
         gains *= K1 + 1.0
         gains /= norm
         self.gains = gains
-        for name in _ARRAYS + ("gains",):
+        self.max_gains = np.zeros(len(df))
+        nonempty = df > 0  # reduceat needs strictly rising starts
+        self.max_gains[nonempty] = np.maximum.reduceat(
+            gains, self.indptr[:-1][nonempty])
+        for name in _ARRAYS + ("gains", "max_gains"):
             getattr(self, name).flags.writeable = False  # shared by threads
 
     def __eq__(self, other):
@@ -138,13 +149,17 @@ class InvertedIndex:
     def n_documents(self) -> int:
         return len(self.doc_ids)
 
-    def _term_gains(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """Ascending positions of a term's documents and their BM25 gains."""
-        t = self.vocabulary.get(term)
-        if t is None:
-            return None
-        lo, hi = self.indptr[t], self.indptr[t + 1]
-        return self.positions[lo:hi], self.gains[lo:hi]
+    def _query_terms(self, query_tokens: list[str]):
+        """(term id, ascending positions, gains) of each distinct query term
+        with postings, in query order."""
+        hits = []
+        for term in dict.fromkeys(query_tokens):
+            t = self.vocabulary.get(term)
+            if t is not None:
+                lo, hi = self.indptr[t], self.indptr[t + 1]
+                if lo < hi:
+                    hits.append((t, self.positions[lo:hi], self.gains[lo:hi]))
+        return hits
 
 
 def build_index(store: CorpusStore) -> InvertedIndex:
@@ -193,28 +208,52 @@ def _count_terms(store: CorpusStore, doc_ids: tuple[str, ...]):
     return dict(vocabulary), (indptr, positions, tf, lengths)
 
 
-def _bm25(
-    index: InvertedIndex, query_tokens: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending positions and BM25 scores of the documents matching a query.
+def _scores(hits, positions: np.ndarray) -> np.ndarray:
+    """BM25 scores of the documents at `positions`.
 
-    The only BM25 scoring: each document's gains from the distinct query
-    terms are summed in query order, starting from 0.0.
+    The only BM25 scoring: each document's gains from the query terms are
+    summed in query order, starting from 0.0 (a term the document lacks
+    adds 0.0), so a score does not depend on which documents are scored.
     """
-    hits = [h for h in map(index._term_gains, dict.fromkeys(query_tokens))
-            if h is not None]
-    if not hits:
-        return np.empty(0, np.int32), np.empty(0)
+    scores = np.zeros(len(positions))
+    for _, term_positions, gains in hits:
+        at = np.searchsorted(term_positions, positions)
+        np.minimum(at, len(term_positions) - 1, out=at)
+        scores += np.where(term_positions[at] == positions, gains[at], 0.0)
+    return scores
+
+
+def _top_candidates(
+    index: InvertedIndex, hits, pool_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending positions and scores of a set of matching documents that
+    holds the pool_size best and every document tied with the last of them.
+
+    The candidates are the postings of the terms with the largest gains,
+    taken one term at a time, largest first. A document outside them
+    scores at most the other terms' largest gains summed in query order
+    (float addition is monotone), so once that bound is strictly below the
+    pool_size-th candidate score no outside document can enter the pool or
+    tie at its cut.
+    """
     if len(hits) == 1:
-        return hits[0]
-    # Each term's positions ascend, so a stable sort merges the runs and
-    # keeps a document's gains in term order; bincount adds them in order.
-    pos = np.concatenate([p for p, _ in hits])
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    first = np.concatenate(([True], pos[1:] != pos[:-1]))
-    gains = np.concatenate([g for _, g in hits])[order]
-    return pos[first], np.bincount(np.cumsum(first) - 1, gains)
+        return hits[0][1:]
+    max_gains = index.max_gains
+    by_gain = sorted(hits, key=lambda hit: -max_gains[hit[0]])
+    positions = by_gain[0][1]
+    for taken in range(1, len(hits)):
+        scores = _scores(hits, positions)
+        if len(positions) >= pool_size:
+            rest = {t for t, _, _ in by_gain[taken:]}
+            bound = 0.0
+            for t, _, _ in hits:  # in query order, as a score is summed
+                if t in rest:
+                    bound += float(max_gains[t])
+            cut = len(positions) - pool_size
+            if bound < np.partition(scores, cut)[cut]:
+                return positions, scores
+        positions = np.union1d(positions, by_gain[taken][1])
+    return positions, _scores(hits, positions)
 
 
 def bm25_scores(
@@ -226,11 +265,8 @@ def bm25_scores(
     for doc_id, at in zip(doc_ids, wanted):
         if at == len(ids) or ids[at] != doc_id:
             raise CorpusLookupError(f"document {doc_id!r} not in index")
-    wanted = np.array(wanted, np.int64)
-    pos, scores = _bm25(index, query_tokens)
-    at = np.searchsorted(pos, wanted)
-    pos, scores = np.append(pos, -1), np.append(scores, 0.0)  # a miss lands here
-    return np.where(pos[at] == wanted, scores[at], 0.0).tolist()
+    hits = index._query_terms(query_tokens)
+    return _scores(hits, np.array(wanted, np.int64)).tolist()
 
 
 def retrieve(
@@ -245,7 +281,10 @@ def retrieve(
     tokens = tokenize(query)
     if not tokens:
         raise EmptyQueryError(f"query {query!r} tokenized to nothing")
-    pos, scores = _bm25(index, tokens)
+    hits = index._query_terms(tokens)
+    if not hits:
+        return RankedList(query_id, (), array("d"))
+    pos, scores = _top_candidates(index, hits, pool_size)
     if len(scores) > pool_size:  # keep every document tied at the cut
         cut = len(scores) - pool_size
         keep = scores >= np.partition(scores, cut)[cut]

@@ -94,7 +94,7 @@ class IterationRecord:
     raw_response: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class RefinementTrace:
     query_id: str
     category: str
@@ -260,11 +260,13 @@ def fair_qr(
                 step = refiner.refine(query, target, best_eps, config.k,
                                       subgroup)
             if iteration and step.query == query:  # already measured
-                ranked, eps, delta = best_ranked, best_eps, best_delta
+                ranked, eps, shares, delta = (best_ranked, best_eps,
+                                              best_shares, best_delta)
             else:
                 ranked = retrieve(index, step.query, config.pool_size, query_id)
                 eps = exposure(ranked, store, target.category, config.k,
                                config.weighting)
+                shares = tuple(eps.probabilities.tolist())
                 delta = kl_divergence(eps.probabilities, goal)
         except (RefinerError, ParseError, EmptyQueryError,
                 DegenerateExposureError) as exc:
@@ -275,7 +277,7 @@ def fair_qr(
             trace.records.append(IterationRecord(
                 iteration=iteration,
                 query=step.query,
-                exposure=tuple(eps.probabilities.tolist()),
+                exposure=shares,
                 divergence=delta,
                 subgroup=subgroup,
                 accepted=accepted,
@@ -285,7 +287,8 @@ def fair_qr(
             trace.terminal_reason = "no-decrease"
             break
         # the accepted query is the one the next iteration refines
-        query, best_ranked, best_eps, best_delta = step.query, ranked, eps, delta
+        query, best_ranked, best_eps, best_shares, best_delta = (
+            step.query, ranked, eps, shares, delta)
         if best_delta <= TARGET_MET_TOLERANCE:
             trace.terminal_reason = "target-met"
             break

@@ -218,6 +218,28 @@ class TestEvaluateRun:
         text = report_to_text(report)
         assert "MEAN" in text and "q2" in text
 
+    def test_targets_of_two_categories_are_rejected(self):
+        # The report's columns and means are of one category; a report of
+        # two once rendered only the first row's and raised KeyError.
+        geo = GroupSchema("geo", ("north", "south", "Unknown"))
+        records = [
+            {"id": "d1", "text": "x", "groups": {"gender": ["male"],
+                                                 "geo": ["north"]}},
+            {"id": "d2", "text": "x", "groups": {"gender": ["female"],
+                                                 "geo": ["south"]}},
+        ]
+        store = ingest_corpus(records, [GENDER, geo])
+        qrels = Qrels()
+        run = {q: ranking(q, ["d1", "d2"]) for q in ("q1", "q2")}
+        targets = {
+            "q1": FairnessTarget("q1", "gender", ExposureDistribution(
+                "gender", [0.5, 0.5, 0.0]), "explicit"),
+            "q2": FairnessTarget("q2", "geo", ExposureDistribution(
+                "geo", [0.5, 0.5, 0.0]), "explicit"),
+        }
+        with pytest.raises(UsageError, match="gender, geo"):
+            evaluate_run(run, qrels, targets, store, k=2)
+
 
 class TestTrecFormats:
     def test_qrels_roundtrip(self, tmp_path):

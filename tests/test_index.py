@@ -6,10 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bm25_reference import reference_ranking, reference_score
+from fairqr import index as index_module
 from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
 from fairqr.errors import (
     CorpusLookupError,
@@ -50,7 +51,7 @@ class TestBuild:
     def test_arrays_are_read_only(self):
         index = build_index(make_store({"d1": "a b", "d2": "b"}))
         for array in (index.indptr, index.positions, index.tf, index.lengths,
-                      index.gains):
+                      index.gains, index.max_gains):
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -169,6 +170,61 @@ class TestRetrieve:
             reference_ranking(store, query, pool)
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([0, 1, 1, 1, 2, 4, 8]),
+                           st.lists(st.sampled_from("abcd"), max_size=2),
+                           st.integers(min_value=0, max_value=8)),
+                 min_size=1, max_size=30),
+        st.lists(st.sampled_from("abcdmq"), min_size=1, max_size=5),
+        st.integers(min_value=1, max_value=35),
+    )
+    def test_pruned_retrieval_matches_reference(self, docs, query, pool):
+        # "m" is in most documents, "a"-"d" in few, "q" in none: the shape
+        # of a refined query, whose candidates mostly come from the rare
+        # terms and whose common term's postings are only looked up. Padding with "z"
+        # spreads the lengths, so the bound sometimes nears the pool's cut.
+        store = make_store({
+            f"d{i}": " ".join(["m"] * tf + rare + ["z"] * pad)
+            for i, (tf, rare, pad) in enumerate(docs)})
+        index = build_index(store)
+        ranked = retrieve(index, " ".join(query), pool)
+        assert [(e.doc_id, e.score) for e in ranked.entries] == (
+            reference_ranking(store, query, pool))
+        doc_ids = sorted(store.documents)
+        assert bm25_scores(index, query, doc_ids) == [
+            reference_score(store, query, d) for d in doc_ids]
+
+    def test_outside_document_tied_at_the_cut_is_scored(self):
+        # a and m have equal largest gains, so a's document is the first
+        # candidate and m's bound equals the pool's cut: d1, outside the
+        # candidates, ties with d2 and wins on its doc id.
+        store = make_store({"d1": "m", "d2": "a"})
+        ranked = retrieve(build_index(store), "a m", 1)
+        assert ranked.ids == ("d1",)
+        assert [(e.doc_id, e.score) for e in ranked.entries] == (
+            reference_ranking(store, ["a", "m"], 1))
+
+    def test_common_term_postings_are_not_scored(self, synth, monkeypatch):
+        # topic00's largest gain is above markerfemale's, so its 50 postings
+        # are the first candidates, and their 20th best score is above
+        # markerfemale's largest gain: no other document is scored.
+        index, score = synth["index"], index_module._scores
+        scored = []
+
+        def spy(hits, positions):
+            scored.append(positions.tolist())
+            return score(hits, positions)
+
+        monkeypatch.setattr(index_module, "_scores", spy)
+        ranked = retrieve(index, "topic00 markerfemale", 20)
+        t = index.vocabulary["topic00"]
+        topic = index.positions[index.indptr[t]:index.indptr[t + 1]].tolist()
+        assert scored == [topic]
+        assert len(ranked) == 20
+        monkeypatch.undo()
+        assert retrieve(index, "topic00 markerfemale", 20) == ranked
+
     def test_concurrent_first_use_matches_sequential(self, synth):
         queries = [f"{q} {m}" for _, q in synth["queries"]
                    for m in ("", "markerfemale", "markermale report")]
@@ -252,6 +308,33 @@ class TestPersistence:
             tokens = tokenize(query)
             assert bm25_scores(loaded, tokens, ranked.doc_ids()) == [
                 e.score for e in ranked.entries]
+
+    def test_term_without_postings_loads_and_scores_nothing(self, tmp_path):
+        # postings a: d1 (tf 2); b: d1, d2; c: d2, d3; the archive lists
+        # "zz", with no postings, between a and b
+        index = build_index(make_store({"d1": "a b a", "d2": "b c", "d3": "c"}))
+        path = tmp_path / "idx.json"
+        save_index(index, path)
+        arrays = rewrite(path)
+        meta = json.loads(arrays["meta"].tobytes())
+        meta["terms"] = ["a", "zz", "b", "c"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        arrays["indptr"] = np.insert(arrays["indptr"], 1, 1)
+        rewrite(path, arrays)
+        loaded = load_index(path)
+        vocabulary = loaded.vocabulary
+        assert loaded.max_gains[vocabulary["zz"]] == 0.0
+        for term in ("a", "b", "c"):
+            t = vocabulary[term]
+            assert loaded.max_gains[t] == index.max_gains[index.vocabulary[term]]
+            assert loaded.max_gains[t] == loaded.gains[
+                loaded.indptr[t]:loaded.indptr[t + 1]].max()
+        for pool in (1, 2, 3):
+            ranked = retrieve(loaded, "zz b a", pool)
+            assert ranked == retrieve(loaded, "b a", pool)
+            assert ranked == retrieve(index, "b a", pool)
+        assert retrieve(loaded, "zz b a", 3).ids == ("d1", "d2")
+        assert len(retrieve(loaded, "zz", 3)) == 0
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "not-index.json"

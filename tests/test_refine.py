@@ -1,3 +1,4 @@
+import gc
 import http.client
 import io
 import json
@@ -5,6 +6,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -337,6 +339,38 @@ class TestFairQRLoop:
             first.exposure, first.divergence
         )
         assert ranked == retrieve(index, "solar power", 3, "q1")
+
+    def test_kept_result_shares_the_remeasured_exposure(self, synth):
+        # A run keeps every query's result. The third iteration re-measures
+        # the accepted query, so its record reuses that record's exposure
+        # tuple. With a per-instance dict on the trace and a fresh tuple a
+        # kept result held about 1.64 KB, now 1.41 KB. Collecting empties
+        # the free lists, so only live objects are counted.
+        store, index = synth["store"], synth["index"]
+        target = make_target([0.2, 0.8, 0.0])
+        config = RefinerConfig(category="gender", pool_size=20, k=20)
+        refiner = LexiconRefiner(synth["lexicon"])
+
+        def run():
+            return fair_qr(index, store, "topic00", target, config, refiner,
+                           "q00")
+
+        run()
+        kept = []
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                kept.append(run())
+            gc.collect()
+            per_result = (tracemalloc.get_traced_memory()[0] - before) / 100
+        finally:
+            tracemalloc.stop()
+        _, accepted, repeat = kept[0][1].records
+        assert repeat.query == accepted.query and not repeat.accepted
+        assert repeat.exposure is accepted.exposure
+        assert per_result < 1500
 
     def test_failing_refiner_degrades_to_baseline(self):
         store, index = small_collection()
