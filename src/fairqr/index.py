@@ -23,6 +23,7 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import log
 
 import numpy as np
@@ -95,9 +96,9 @@ class InvertedIndex:
     `doc_ids` are sorted; a posting's position indexes them and `lengths`.
     `digest` is `corpus_digest` of the corpus the index was built from.
     `avgdl`, `gains` and `max_gains` (each term's largest gain, 0.0 for a
-    term without postings) are derived from the other fields. Every array is
-    read-only, so concurrent retrieval is safe; `==` compares the persisted
-    fields.
+    term without postings) are derived from the other fields, and
+    `doc_terms` from the postings on first use. Every array is read-only, so
+    concurrent retrieval is safe; `==` compares the persisted fields.
     """
 
     doc_ids: tuple[str, ...]
@@ -148,6 +149,40 @@ class InvertedIndex:
     @property
     def n_documents(self) -> int:
         return len(self.doc_ids)
+
+    @cached_property
+    def doc_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, terms): the postings transposed, document by document.
+
+        Document d's distinct term ids, ascending, are
+        terms[indptr[d]:indptr[d + 1]]. Derived on first use with one stable
+        argsort of `positions` (each term's postings are in document order,
+        so each document's terms come out in term order), in the smallest
+        dtypes that fit: at most 2 bytes per posting below 65,536 terms, and
+        4 per document. Only MMR reads it; it is not saved, and threads that
+        race to derive it make equal views.
+        """
+        df = np.diff(self.indptr)
+        term_ids = np.arange(len(df),
+                             dtype=np.min_scalar_type(max(len(df) - 1, 0)))
+        terms = np.repeat(term_ids, df)[np.argsort(self.positions,
+                                                   kind="stable")]
+        indptr = np.zeros(self.n_documents + 1,
+                          np.int32 if len(terms) < 2**31 else np.int64)
+        np.cumsum(np.bincount(self.positions, minlength=self.n_documents),
+                  out=indptr[1:])
+        indptr.flags.writeable = terms.flags.writeable = False
+        return indptr, terms
+
+    def doc_positions(self, doc_ids) -> np.ndarray:
+        """Positions of doc_ids in `doc_ids`; CorpusLookupError for an id
+        outside the index."""
+        ids = self.doc_ids
+        at = [bisect_left(ids, d) for d in doc_ids]
+        for doc_id, i in zip(doc_ids, at):
+            if i == len(ids) or ids[i] != doc_id:
+                raise CorpusLookupError(f"document {doc_id!r} not in index")
+        return np.array(at, np.int64)
 
     def _query_terms(self, query_tokens: list[str]):
         """(term id, ascending positions, gains) of each distinct query term
@@ -260,13 +295,8 @@ def bm25_scores(
     index: InvertedIndex, query_tokens: list[str], doc_ids: list[str]
 ) -> list[float]:
     """BM25 score of each of doc_ids, in order; 0.0 when no term occurs."""
-    ids = index.doc_ids
-    wanted = [bisect_left(ids, d) for d in doc_ids]
-    for doc_id, at in zip(doc_ids, wanted):
-        if at == len(ids) or ids[at] != doc_id:
-            raise CorpusLookupError(f"document {doc_id!r} not in index")
-    hits = index._query_terms(query_tokens)
-    return _scores(hits, np.array(wanted, np.int64)).tolist()
+    at = index.doc_positions(doc_ids)
+    return _scores(index._query_terms(query_tokens), at).tolist()
 
 
 def retrieve(

@@ -154,6 +154,21 @@ class TestRunCmd:
                 path.read_bytes()
             )
 
+    def test_mmr_jobs_flag_preserves_output(self, workspace, tmp_path):
+        # the loaded index's document-major view is derived by the first
+        # MMR calls, which race for it under --jobs 4
+        args = ["run", "mmr", "--jobs", "4"] + workspace["common"]
+        args[args.index(str(workspace["runs"]))] = str(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(args) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert (tmp_path / "run-mmr.txt").read_bytes() == (
+            workspace["runs"] / "run-mmr.txt"
+        ).read_bytes()
+
     def test_fairqr_reranks_the_measured_top_k(self, workspace, tmp_path):
         # at the default pool size (100) the re-ranker must not reach past
         # the k documents whose exposure the loop measured

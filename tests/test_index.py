@@ -105,9 +105,10 @@ class TestScore:
         assert bm25_scores(index, ["q"], ["d1"])[0] == pytest.approx(0.95308, abs=1e-4)
 
     def test_unknown_doc_raises(self):
-        index = build_index(make_store({"d1": "a"}))
-        with pytest.raises(CorpusLookupError):
-            bm25_scores(index, ["a"], ["nope"])
+        index = build_index(make_store({"d1": "a", "d3": "a"}))
+        for unknown in ("nope", "d0", "d2"):  # after, before, between
+            with pytest.raises(CorpusLookupError):
+                bm25_scores(index, ["a"], ["d1", unknown])
 
     @given(st.integers(min_value=1, max_value=20))
     def test_monotone_in_tf(self, tf):
@@ -275,6 +276,57 @@ class TestRetrieve:
             tracemalloc.stop()
         assert len(kept[0]) == 20
         assert per_list < 1000
+
+
+class TestDocTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(["a", "B", "b", "c-d", "e", "", "!", "?!"]),
+                 max_size=6).map(" ".join),
+        min_size=1, max_size=12))
+    def test_each_document_slice_is_its_sorted_term_ids(self, texts):
+        # "", "!" and "?!" tokenise to nothing, so some documents are empty
+        store = make_store({f"d{i:02d}": t for i, t in enumerate(texts)})
+        index = build_index(store)
+        indptr, terms = index.doc_terms
+        assert len(indptr) == index.n_documents + 1
+        for at, doc_id in enumerate(index.doc_ids):
+            tokens = set(tokenize(store.document(doc_id).text))
+            expected = sorted(index.vocabulary[t] for t in tokens)
+            assert terms[indptr[at]:indptr[at + 1]].tolist() == expected
+
+    def test_loaded_index_has_the_built_view(self, tmp_path, synth):
+        path = tmp_path / "index.npz"
+        save_index(synth["index"], path)
+        built, loaded = synth["index"].doc_terms, load_index(path).doc_terms
+        for a, b in zip(built, loaded):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        indptr, terms = built  # each document's terms strictly ascending
+        doc = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        same_doc = doc[1:] == doc[:-1]
+        assert same_doc.any()
+        assert (terms[1:][same_doc] > terms[:-1][same_doc]).all()
+
+    def test_arrays_are_read_only(self):
+        index = build_index(make_store({"d1": "a b", "d2": "b"}))
+        for array in index.doc_terms:
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_costs_two_bytes_a_posting_and_four_a_document(self):
+        spec = SkewSpec(seed=1, doc_count=20_000, topic_count=200, skew=0.6)
+        store = ingest_corpus(generate(spec)[0],
+                              [GroupSchema(spec.category, spec.subgroups)])
+        index = build_index(store)
+        tracemalloc.start()
+        try:
+            view = index.doc_terms
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(view[1]) == len(index.positions)
+        assert kept <= 2 * len(index.positions) + 4 * index.n_documents + 1024
 
 
 class TestPersistence:

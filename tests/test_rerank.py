@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,7 +149,7 @@ class TestMMR:
         expected = exhaustive_mmr(pool, query, store, lam, k)
         assert list(zip(out.ids, out.scores)) == expected
 
-    def test_tokenizes_each_pool_document_once(self, monkeypatch):
+    def test_tokenizes_only_the_query(self, monkeypatch):
         store = make_store({f"d{i:03d}": f"a w{i % 7} x{i % 11}"
                             for i in range(120)})
         index = build_index(store)
@@ -159,5 +162,25 @@ class TestMMR:
             return tokenize(text)
 
         monkeypatch.setattr("fairqr.rerank.tokenize", counting)
-        mmr_rerank(candidates, "a", store, index, 0.5, 20)
-        assert len(calls) <= 101
+        monkeypatch.setattr("fairqr.index.tokenize", counting)
+        mmr_rerank(candidates, "a w1", store, index, 0.5, 20)
+        assert calls == ["a w1"]
+
+    def test_concurrent_first_use_matches_sequential(self, synth):
+        store = synth["store"]
+        pools = [retrieve(synth["index"], q, 60, qid)
+                 for qid, q in synth["queries"]]
+        expected = [mmr_rerank(p, q, store, synth["index"], 0.5, 20)
+                    for p, (_, q) in zip(pools, synth["queries"])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                index = build_index(store)  # its view not yet derived
+                with ThreadPoolExecutor(max_workers=8) as executor:
+                    futures = [executor.submit(mmr_rerank, p, q, store, index,
+                                               0.5, 20)
+                               for p, (_, q) in zip(pools, synth["queries"])]
+                    assert [f.result(timeout=60) for f in futures] == expected
+        finally:
+            sys.setswitchinterval(interval)
