@@ -1,8 +1,9 @@
 """Command-line experiment driver.
 
 Subcommands: `gen` (synthetic corpus), `index`, `run` (bm25 | fairqr |
-fairqr-norerank | mmr), `eval`. Configuration is a JSON document; every
-field can be overridden by a flag of the same name. Exit codes: 0 success,
+fairqr-norerank | mmr), `eval`. Configuration is a JSON document holding
+any of CONFIG_FIELDS; a subcommand takes a flag for each field it reads
+(COMMAND_FIELDS), which overrides the file. Exit codes: 0 success,
 1 usage error, 2 data error, 3 refiner/transport failure after degradation.
 """
 from __future__ import annotations
@@ -61,7 +62,6 @@ CONFIG_FIELDS = {
     "base_url": str,
     "model": str,
     "temperature": float,
-    "weighting": str,
     "targets": str,          # explicit target file (optional)
     "out": str,
     "index_file": str,
@@ -77,18 +77,25 @@ DEFAULTS = {
     "max_iterations": 5,
     "refiner": "lexicon",
     "temperature": 0.3,
-    "weighting": "uniform",
     "seed": 42,
     "jobs": 1,
     "mmr_lambda": 0.5,
 }
 
+# The fields each subcommand reads, and so the flags it accepts.
+COMMAND_FIELDS = {
+    "gen": ("out", "seed", "category"),
+    "index": ("corpus", "schema", "index_file"),
+    "run": tuple(name for name in CONFIG_FIELDS if name != "seed"),
+    "eval": ("corpus", "schema", "qrels", "category", "k", "targets", "out"),
+}
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", help="JSON config file")
-    for name, typ in CONFIG_FIELDS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ,
-                            dest=name, default=None)
+    for name in COMMAND_FIELDS[command]:
+        parser.add_argument(f"--{name.replace('_', '-')}",
+                            type=CONFIG_FIELDS[name], dest=name, default=None)
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -110,7 +117,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
                                  f"{typ.__name__}, got {value!r}")
         config.update(loaded)
     for name in CONFIG_FIELDS:
-        if flags[name] is not None:
+        if flags.get(name) is not None:
             config[name] = flags[name]
     return config
 
@@ -282,7 +289,6 @@ def cmd_run(args) -> int:
             max_iterations=config["max_iterations"],
             pool_size=pool,
             k=k,
-            weighting=config["weighting"],
         )
 
     def work(item):
@@ -386,24 +392,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--docs", type=int, default=200)
     p_gen.add_argument("--topics", type=int, default=10)
     p_gen.add_argument("--skew", type=float, default=0.8)
-    _add_config_flags(p_gen)
+    _add_config_flags(p_gen, "gen")
     p_gen.set_defaults(func=cmd_gen)
 
     p_index = sub.add_parser("index", help="build and persist the index")
-    _add_config_flags(p_index)
+    _add_config_flags(p_index, "index")
     p_index.set_defaults(func=cmd_index)
 
     p_run = sub.add_parser("run", help="produce a TREC run file")
     p_run.add_argument(
         "mode", choices=["bm25", "fairqr", "fairqr-norerank", "mmr"]
     )
-    _add_config_flags(p_run)
+    _add_config_flags(p_run, "run")
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate one or two run files")
     p_eval.add_argument("run", help="TREC run file to evaluate")
     p_eval.add_argument("--run-b", help="second run for paired t-test")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, "eval")
     p_eval.set_defaults(func=cmd_eval)
     return parser
 

@@ -51,16 +51,16 @@ class TemplateError(FairQRError):
     """Prompt template is missing a required placeholder."""
 
 
-class ParseError(FairQRError):
+class RefinerError(FairQRError):
+    """Refinement failed (transport, lexicon, or parse failure)."""
+
+
+class ParseError(RefinerError):
     """Model response did not contain the refined-query marker."""
 
     def __init__(self, message: str, fallback_query: str = ""):
         self.fallback_query = fallback_query
         super().__init__(message)
-
-
-class RefinerError(FairQRError):
-    """Refinement failed (transport, lexicon, or parse failure)."""
 
 
 class LexiconError(RefinerError):

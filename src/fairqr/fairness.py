@@ -43,28 +43,16 @@ class FairnessTarget:
     provenance: str  # qrels-empirical | explicit
 
 
-def _position_weights(n: int, weighting: str) -> np.ndarray:
-    if weighting == "uniform":
-        w = np.ones(n)
-    elif weighting == "log-discount":
-        w = 1.0 / np.log2(np.arange(1, n + 1) + 1)
-    else:
-        raise UsageError(f"unknown weighting {weighting!r}")
-    return w / w.sum()
-
-
 def exposure(
     ranked: RankedList,
     store: CorpusStore,
     category: str,
     k: int,
-    weighting: str = "uniform",
     missing_doc: str = "error",
 ) -> ExposureDistribution:
     """Exposure of the top-min(k, len) documents of a ranked list.
 
-    Uniform weighting is the plain mean of per-document group vectors;
-    log-discount weights position i by 1/log2(i+1), renormalized.
+    Each of the n documents weighs 1/n: the mean of their group vectors.
     missing_doc="unknown" counts an id outside the corpus as unlabeled
     instead of raising, for evaluating externally produced runs.
     """
@@ -75,8 +63,8 @@ def exposure(
         raise DegenerateExposureError(
             f"empty ranked list for query {ranked.query_id!r}"
         )
-    weights = _position_weights(len(top), weighting)
     rows = store.group_rows(category, top, missing_doc)
+    weights = np.full(len(top), 1.0 / len(top))
     return ExposureDistribution(category, weights @ rows)
 
 
@@ -131,11 +119,10 @@ def awrf(
     target: FairnessTarget,
     store: CorpusStore,
     k: int,
-    weighting: str = "uniform",
     missing_doc: str = "error",
 ) -> float:
     """1 - JS(system exposure, target exposure); 1 is perfectly fair."""
-    current = exposure(ranked, store, target.category, k, weighting, missing_doc)
+    current = exposure(ranked, store, target.category, k, missing_doc)
     return 1.0 - js_divergence(current, target.target)
 
 

@@ -4,7 +4,7 @@ The loop retrieves with the current query, compares the top-k exposure
 distribution against the fairness target with KL divergence, picks the most
 underrepresented subgroup, asks a refiner for a new query, and accepts the
 refinement only if divergence strictly decreases. It stops on no-decrease,
-on hitting the iteration cap, or when the target is met.
+on hitting the iteration cap, when the target is met, or on a failure.
 
 Two refiners ship: a deterministic lexicon refiner that appends subgroup
 keywords, and an LLM refiner that prompts a chat model and extracts the
@@ -66,7 +66,6 @@ class RefinerConfig:
     max_iterations: int = 5
     pool_size: int = 100
     k: int = 20
-    weighting: str = "uniform"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -99,7 +98,8 @@ class RefinementTrace:
     query_id: str
     category: str
     records: list[IterationRecord] = field(default_factory=list)
-    # no-decrease | max-iterations | target-met | no-target (never refined)
+    # no-decrease | max-iterations | target-met | error |
+    # no-target (never refined)
     terminal_reason: str = ""
     error: str = ""  # the failure that ended the loop, if one did
 
@@ -264,25 +264,23 @@ def fair_qr(
                                               best_shares, best_delta)
             else:
                 ranked = retrieve(index, step.query, config.pool_size, query_id)
-                eps = exposure(ranked, store, target.category, config.k,
-                               config.weighting)
+                eps = exposure(ranked, store, target.category, config.k)
                 shares = tuple(eps.probabilities.tolist())
                 delta = kl_divergence(eps.probabilities, goal)
-        except (RefinerError, ParseError, EmptyQueryError,
-                DegenerateExposureError) as exc:
+        except (RefinerError, EmptyQueryError, DegenerateExposureError) as exc:
             trace.error = f"{type(exc).__name__}: {exc}"
-            accepted = False
-        else:
-            accepted = iteration == 0 or delta < best_delta
-            trace.records.append(IterationRecord(
-                iteration=iteration,
-                query=step.query,
-                exposure=shares,
-                divergence=delta,
-                subgroup=subgroup,
-                accepted=accepted,
-                raw_response=step.raw_response,
-            ))
+            trace.terminal_reason = "error"
+            break
+        accepted = iteration == 0 or delta < best_delta
+        trace.records.append(IterationRecord(
+            iteration=iteration,
+            query=step.query,
+            exposure=shares,
+            divergence=delta,
+            subgroup=subgroup,
+            accepted=accepted,
+            raw_response=step.raw_response,
+        ))
         if not accepted:
             trace.terminal_reason = "no-decrease"
             break

@@ -2,13 +2,19 @@
 
 Each topic gets a dedicated topic term; a document's text mixes that term,
 its subgroup's marker term (`marker<subgroup>`), and filler. Majority-
-subgroup documents repeat the topic term and stay short, so they dominate
-baseline retrieval; half of each minority subgroup's documents mention the
-topic only once and are longer, so filler documents that happen to contain
-the topic term outrank them. Appending a subgroup's marker (what the lexicon
-refiner does) pulls those weak documents back into the top ranks, which is
-exactly the headroom the refinement loop needs to demonstrate a fairness
-gain.
+subgroup documents and half of each minority subgroup's (the strong ones)
+hold the topic term three times; majority documents also hold two other
+topics' terms, so off-topic documents match a topic query weakly. The other
+minority documents (the weak ones) mention the topic once among more
+filler. Appending a subgroup's marker (what the lexicon refiner does) pulls
+that subgroup's documents, weak ones included, into the top ranks.
+
+Strong minority documents, not majority ones, lead baseline retrieval:
+they have 9 tokens and majority documents 11, so BM25's length norm ranks
+every strong minority document first. On `fairqr gen --docs 2000 --topics
+20 --skew 0.6 --seed 7`, all 400 top-20 slots of `fairqr run bm25
+--pool-size 20` are female. ROADMAP item 1 is to make the generator produce
+under-exposed minorities.
 """
 from __future__ import annotations
 

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import fairqr
-from fairqr.cli import main
+from fairqr.cli import CONFIG_FIELDS, main
 from fairqr.corpus import load_corpus
 from fairqr.index import build_index, load_index, retrieve
+from fairqr.refine import DEFAULT_PROMPT_TEMPLATE
 from fairqr.trec import parse_run
 
 
@@ -205,7 +206,7 @@ class TestRunCmd:
         assert len(traces) == 10
         for path in traces:
             trace = json.loads(path.read_text())
-            assert trace["terminal_reason"] == "no-decrease"
+            assert trace["terminal_reason"] == "error"
             assert trace["error"].startswith("RefinerError: chat completion")
             assert "endpoint down" in trace["error"]
 
@@ -470,7 +471,7 @@ class TestUsage:
                     "--model", "m", "--temperature", "3"]),
         ("fairqr", ["--k", "50", "--pool-size", "20"]),
         ("fairqr", ["--max-iterations", "0"]),
-        ("fairqr", ["--weighting", "bogus"]),
+        ("fairqr", ["--refiner", "bogus"]),
         ("mmr", ["--mmr-lambda", "2"]),
         ("bm25", ["--pool-size", "0"]),
     ])
@@ -482,6 +483,74 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", ["--weighting", "log-discount"]),
+        ("index", ["--k", "5"]),
+        ("gen", ["--lexicon", "x"]),
+        ("bm25", ["--weighting", "bogus"]),
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(
+            self, workspace, tmp_path, capsys, command, flag):
+        data, out = workspace["data"], str(tmp_path / "out")
+        corpus = ["--corpus", str(data / "corpus.jsonl"),
+                  "--schema", str(data / "schema.json")]
+        args = {
+            "eval": ["eval", str(workspace["runs"] / "run-fairqr.txt"),
+                     *corpus, "--qrels", str(data / "qrels.txt"),
+                     "--out", out],
+            "index": ["index", *corpus, "--index-file", out],
+            "gen": ["gen", "--out", out],
+            "bm25": ["run", "bm25"] + workspace["common"],
+        }[command]
+        if command == "bm25":
+            args[args.index(str(workspace["runs"]))] = out
+        assert main(args + flag) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_one_config_file_serves_every_command(self, workspace, tmp_path):
+        data, out = workspace["data"], tmp_path / "out"
+        template = tmp_path / "template.txt"
+        template.write_text(DEFAULT_PROMPT_TEMPLATE)
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps(
+            {"q00": {"gender": {"male": 0.8, "female": 0.2}}}))
+        config = {
+            "corpus": str(data / "corpus.jsonl"),
+            "schema": str(data / "schema.json"),
+            "queries": str(data / "queries.tsv"),
+            "qrels": str(data / "qrels.txt"),
+            "category": "gender",
+            "k": 20,
+            "pool_size": 20,
+            "max_iterations": 5,
+            "refiner": "lexicon",
+            "lexicon": str(data / "lexicon.json"),
+            "template": str(template),
+            "base_url": "http://llm.invalid/v1",
+            "model": "m",
+            "temperature": 0.3,
+            "targets": str(targets),
+            "out": str(out),
+            "index_file": str(tmp_path / "idx.npz"),
+            "seed": 42,
+            "jobs": 1,
+            "mmr_lambda": 0.5,
+        }
+        assert set(config) == set(CONFIG_FIELDS)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["index", "--config", str(config_path)]) == 0
+        assert main(["run", "bm25", "--config", str(config_path)]) == 0
+        assert (out / "run-bm25.txt").read_bytes() == (
+            workspace["runs"] / "run-bm25.txt").read_bytes()
+        assert main(["eval", str(out / "run-bm25.txt"),
+                     "--config", str(config_path)]) == 0
+        report = json.loads((out / "report-run-bm25.json").read_text())
+        assert [row["query_id"] for row in report["rows"]] == ["q00"]
 
     @pytest.mark.parametrize("mode, loaded, field", [
         ("mmr", {"k": "20"}, "k"),

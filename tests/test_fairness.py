@@ -60,12 +60,18 @@ class TestExposure:
         dist = exposure(ranking(["d1", "d2"]), store, "gender", 10)
         assert dist.probabilities.tolist() == [0.0, 0.0, 1.0]
 
-    def test_log_discount_weights(self):
-        # weights 1 and 1/log2(3) = 0.6309, normalized
-        store = store_of({"d1": ["male"], "d2": ["female"]})
-        dist = exposure(ranking(["d1", "d2"]), store, "gender", 2, "log-discount")
-        assert dist.probabilities[0] == pytest.approx(0.6131, abs=1e-4)
-        assert dist.probabilities[1] == pytest.approx(0.3869, abs=1e-4)
+    @given(st.lists(st.sampled_from([["male"], ["female"], [],
+                                     ["male", "female"]]),
+                    min_size=1, max_size=100))
+    def test_each_document_weighs_one_nth_to_the_bit(self, labels):
+        # Traces print exposure with repr, so the rounding must stay that of
+        # weights 1/n; the mean of the rows rounds differently.
+        store = store_of({f"d{i}": subs for i, subs in enumerate(labels)})
+        ids = [f"d{i}" for i in range(len(labels))]
+        weights = np.ones(len(ids)) / len(ids)
+        want = weights @ store.group_rows("gender", ids)
+        got = exposure(ranking(ids), store, "gender", len(ids)).probabilities
+        assert got.tobytes() == want.tobytes()
 
     def test_truncates_at_k(self):
         store = store_of({"d1": ["male"], "d2": ["female"], "d3": ["female"]})

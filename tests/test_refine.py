@@ -383,7 +383,24 @@ class TestFairQRLoop:
         ranked, trace = fair_qr(
             index, store, "solar power", TARGET, config, Broken(), "q1"
         )
-        assert trace.terminal_reason == "no-decrease"
+        assert trace.terminal_reason == "error"
+        assert ranked == retrieve(index, "solar power", 3, "q1")
+
+    def test_unparsable_reply_ends_the_loop_as_error(self):
+        store, index = small_collection()
+        config = RefinerConfig(category="gender", pool_size=3, k=3)
+
+        class Markerless:
+            def refine(self, *args):
+                raise ParseError("no marker")
+
+        ranked, trace = fair_qr(
+            index, store, "solar power", TARGET, config, Markerless(), "q1"
+        )
+        assert issubclass(ParseError, RefinerError)
+        assert (trace.terminal_reason, trace.error) == (
+            "error", "ParseError: no marker")
+        assert len(trace.records) == 1 and trace.records[0].accepted
         assert ranked == retrieve(index, "solar power", 3, "q1")
 
     def test_lexicon_improves_skewed_collection(self):
