@@ -208,25 +208,37 @@ def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
     return targets
 
 
+def _check_run_options(config) -> None:
+    """Every `run` option value in range, whichever of them the mode reads."""
+    refiner = config["refiner"]
+    for ok, message in (
+        (config["max_iterations"] >= 1, "max_iterations must be >= 1"),
+        (refiner in ("lexicon", "llm"), f"unknown refiner kind {refiner!r}"),
+        (0.0 <= config["mmr_lambda"] <= 1.0, "mmr_lambda must be in [0, 1]"),
+        (0.0 <= config["temperature"] <= 2.0, "temperature must be in [0, 2]"),
+        (config["jobs"] >= 1, "jobs must be >= 1"),
+    ):
+        if not ok:
+            raise UsageError(message)
+
+
 def _make_refiner(config, store):
     if config["refiner"] == "lexicon":
         _require(config, "lexicon")
         with open(config["lexicon"], encoding="utf-8") as fh:
             lexicon = json.load(fh)
         return LexiconRefiner(lexicon)
-    if config["refiner"] == "llm":
-        _require(config, "base_url", "model")
-        template = DEFAULT_PROMPT_TEMPLATE
-        if config.get("template"):
-            with open(config["template"], encoding="utf-8") as fh:
-                template = fh.read()
-        client = ChatCompletionClient(config["base_url"], config["model"])
-        subgroups = store.schema(config["category"]).subgroups
-        return LLMRefiner(
-            client, subgroups,
-            temperature=config["temperature"], template=template,
-        )
-    raise UsageError(f"unknown refiner kind {config['refiner']!r}")
+    _require(config, "base_url", "model")
+    template = DEFAULT_PROMPT_TEMPLATE
+    if config.get("template"):
+        with open(config["template"], encoding="utf-8") as fh:
+            template = fh.read()
+    client = ChatCompletionClient(config["base_url"], config["model"])
+    subgroups = store.schema(config["category"]).subgroups
+    return LLMRefiner(
+        client, subgroups,
+        temperature=config["temperature"], template=template,
+    )
 
 
 def cmd_gen(args) -> int:
@@ -276,6 +288,7 @@ def cmd_run(args) -> int:
     config = _merge_config(args)
     mode = args.mode
     _require(config, "queries", "out")
+    _check_run_options(config)
     store, index = _load_store_and_index(config)
     queries = _load_queries(config["queries"])
     qrels = parse_qrels(config["qrels"]) if config.get("qrels") else Qrels()
@@ -313,7 +326,7 @@ def cmd_run(args) -> int:
         return qid, (fair_set, trace.to_dict())
 
     # Threads overlap LLM calls only; the GIL serialises the scoring.
-    with ThreadPoolExecutor(max_workers=max(1, config["jobs"])) as executor:
+    with ThreadPoolExecutor(max_workers=config["jobs"]) as executor:
         results = dict(executor.map(work, queries))
 
     run = {qid: ranked for qid, (ranked, _) in results.items()}

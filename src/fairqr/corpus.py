@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -25,12 +24,17 @@ from .errors import (
 
 UNKNOWN = "Unknown"
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# bytes.translate table: a-z and 0-9 map to themselves, every other byte
+# (the "?" that stands in for a non-ASCII character too) to a space
+_TOKEN_BYTES = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32
+                     for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumerics, dropping empty tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase, then the maximal runs of ASCII a-z0-9: the tokens of
+    `[a-z0-9]+` over `text.lower()`, in one C pass over the bytes."""
+    return (text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES)
+            .decode("ascii").split())
 
 
 @dataclass(frozen=True)
@@ -200,17 +204,27 @@ def group_vector(store: CorpusStore, doc_id: str, category: str) -> np.ndarray:
     return store.group_rows(category, [doc_id])[0]
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path) -> Iterator[dict]:
     """Yield parsed objects from a JSONL file, with line numbers on errors."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip()  # a superset of JSON's whitespace
             if not line:
                 continue
             try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestionError(f"invalid JSON: {exc}", line_no) from None
+                record, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):  # json.loads words the error (e.g. a BOM)
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise IngestionError(f"invalid JSON: {exc}",
+                                         line_no) from None
+            yield record
 
 
 def load_schemas(path) -> list[GroupSchema]:

@@ -13,14 +13,13 @@ class LineError(FairQRError):
     """An error at a numbered input line, prefixed `line N:` when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
 
 
 class IngestionError(LineError):
-    """Malformed corpus record; carries the offending line number."""
+    """Malformed corpus record, at its line when known."""
 
 
 class SchemaError(FairQRError):
@@ -68,4 +67,4 @@ class LexiconError(RefinerError):
 
 
 class RunFileError(LineError):
-    """Malformed TREC run or qrels line; carries the line number."""
+    """Malformed TREC run or qrels line, at its line when known."""

@@ -484,6 +484,28 @@ class TestUsage:
         assert err.startswith("usage error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode, flags", [
+        ("bm25", ["--max-iterations", "0"]),
+        ("bm25", ["--refiner", "bogus"]),
+        ("bm25", ["--mmr-lambda", "7"]),
+        ("bm25", ["--temperature", "9"]),
+        ("bm25", ["--jobs", "0"]),
+        ("mmr", ["--refiner", "bogus"]),
+        ("mmr", ["--temperature", "nan"]),
+        ("fairqr", ["--mmr-lambda", "7"]),
+        ("fairqr-norerank", ["--jobs", "-1"]),
+    ])
+    def test_option_the_mode_does_not_read_is_still_checked(
+            self, workspace, tmp_path, capsys, mode, flags):
+        out = tmp_path / "out"
+        args = ["run", mode] + workspace["common"] + flags
+        args[args.index(str(workspace["runs"]))] = str(out)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("eval", ["--weighting", "log-discount"]),
         ("index", ["--k", "5"]),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from fairqr.corpus import (
     corpus_digest,
     group_vector,
     ingest_corpus,
+    read_jsonl,
     tokenize,
 )
 from fairqr.errors import (
@@ -21,6 +23,7 @@ from fairqr.index import build_index
 from fairqr.synthetic import SkewSpec, generate
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
+TOKEN_RE = re.compile(r"[a-z0-9]+")  # the token definition tokenize meets
 GEO = GroupSchema(
     "geography",
     tuple(f"region{i:02d}" for i in range(20)) + ("Unknown",),
@@ -41,6 +44,59 @@ class TestTokenize:
     def test_idempotent_on_own_output(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @given(st.text(st.characters(exclude_categories=())))  # surrogates too
+    def test_runs_of_ascii_alnum_after_lowercasing(self, text):
+        assert tokenize(text) == TOKEN_RE.findall(text.lower())
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("İstanbul", ["i", "stanbul"]),     # lower() adds a combining dot
+        ("\u212a", ["k"]),                  # Kelvin sign lowers to ASCII k
+        ("straße", ["stra", "e"]),
+        ("\uff21\uff22", []),               # full-width letters
+        ("route 66, 2024", ["route", "66", "2024"]),
+        ("ABC Def", ["abc", "def"]),
+        ("", []),
+        ("a\ud800b", ["a", "b"]),            # a lone surrogate separates
+    ])
+    def test_non_ascii_separates(self, text, tokens):
+        assert tokenize(text) == tokens == TOKEN_RE.findall(text.lower())
+
+
+class TestReadJsonl:
+    RECORD = '{"id": "a", "text": "x"}'
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(text, encoding="utf-8")
+        return list(read_jsonl(path))
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "a", "text": "x"} 1',
+         "line 2: invalid JSON: Extra data: line 1 column 26 (char 25)"),
+        ('{"id": "a"}{"id": "b"}',
+         "line 2: invalid JSON: Extra data: line 1 column 12 (char 11)"),
+        ('{"id": "b", "text": }',
+         "line 2: invalid JSON: Expecting value: line 1 column 21 (char 20)"),
+        ('\ufeff{"id": "a", "text": "x"}',
+         "line 2: invalid JSON: Unexpected UTF-8 BOM (decode using "
+         "utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["trailing-data", "two-objects", "invalid", "bom"])
+    def test_bad_line_reports_json_error(self, tmp_path, line, message):
+        with pytest.raises(IngestionError) as info:
+            self.read(tmp_path, f"{self.RECORD}\n{line}\n")
+        assert str(info.value) == message
+
+    def test_blank_lines_skipped_and_numbered(self, tmp_path):
+        text = f"\n   \n{self.RECORD}\n\t\n{{bad\n"
+        with pytest.raises(IngestionError, match="^line 5: invalid JSON"):
+            self.read(tmp_path, text)
+        assert self.read(tmp_path, f"\n \t\n{self.RECORD}\n\n") == [
+            {"id": "a", "text": "x"}]
+
+    def test_padded_line_accepted(self, tmp_path):
+        assert self.read(tmp_path, f"  \t{self.RECORD} \u00a0 \n") == [
+            {"id": "a", "text": "x"}]
 
 
 class TestSchema:
