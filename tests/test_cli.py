@@ -474,17 +474,7 @@ class TestUsage:
         ("fairqr", ["--refiner", "bogus"]),
         ("mmr", ["--mmr-lambda", "2"]),
         ("bm25", ["--pool-size", "0"]),
-    ])
-    def test_bad_option_value_is_usage_error(self, workspace, tmp_path,
-                                             capsys, mode, flags):
-        args = ["run", mode] + workspace["common"] + flags
-        args[args.index(str(workspace["runs"]))] = str(tmp_path)
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage error:")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("mode, flags", [
+        # checked although the mode does not read it
         ("bm25", ["--max-iterations", "0"]),
         ("bm25", ["--refiner", "bogus"]),
         ("bm25", ["--mmr-lambda", "7"]),
@@ -495,16 +485,15 @@ class TestUsage:
         ("fairqr", ["--mmr-lambda", "7"]),
         ("fairqr-norerank", ["--jobs", "-1"]),
     ])
-    def test_option_the_mode_does_not_read_is_still_checked(
-            self, workspace, tmp_path, capsys, mode, flags):
-        out = tmp_path / "out"
+    def test_bad_option_value_is_usage_error(self, workspace, tmp_path,
+                                             capsys, mode, flags):
         args = ["run", mode] + workspace["common"] + flags
-        args[args.index(str(workspace["runs"]))] = str(out)
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "out")
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("eval", ["--weighting", "log-discount"]),
