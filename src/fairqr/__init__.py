@@ -8,10 +8,8 @@ evaluation harness.
 
 from .corpus import (
     CorpusStore,
-    Document,
     GroupSchema,
     UNKNOWN,
-    group_vector,
     ingest_corpus,
     load_corpus,
     tokenize,
@@ -57,8 +55,8 @@ from .trec import Qrels, parse_qrels, parse_run, write_qrels, write_run
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorpusStore", "Document", "GroupSchema", "UNKNOWN", "group_vector",
-    "ingest_corpus", "load_corpus", "tokenize",
+    "CorpusStore", "GroupSchema", "UNKNOWN", "ingest_corpus", "load_corpus",
+    "tokenize",
     "RunReport", "composite", "evaluate_run", "ndcg_at_k", "paired_t_test",
     "ExposureDistribution", "FairnessTarget", "awrf", "exposure",
     "js_divergence", "kl_divergence", "most_underrepresented",

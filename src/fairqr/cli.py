@@ -438,7 +438,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FairQRError, OSError, json.JSONDecodeError) as exc:
+    except (FairQRError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -67,38 +67,26 @@ class GroupSchema:
             ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
-    """One corpus document; `row` is its row in the store's group matrices."""
-
-    id: str
-    text: str
-    row: int
-
-
 @dataclass
 class CorpusStore:
     """Immutable-after-ingestion document collection.
 
-    `groups` holds one read-only (documents + 1) x subgroups matrix per
-    category: row i is the i-th ingested document's membership vector, the
-    last row (all mass on "Unknown") an id outside the corpus. Safe for
-    concurrent reads once built; ingestion is single-writer.
+    `rows` maps each document id to its row, in ingest order; `texts[row]`
+    is that document's text. `groups` holds one read-only (documents + 1) x
+    subgroups matrix per category: row i is the i-th ingested document's
+    membership vector, the last row (all mass on "Unknown") an id outside
+    the corpus. Safe for concurrent reads once built; ingestion is
+    single-writer.
     """
 
     schemas: dict[str, GroupSchema]
-    documents: dict[str, Document] = field(default_factory=dict)
+    rows: dict[str, int] = field(default_factory=dict)
+    texts: list[str] = field(default_factory=list)
     groups: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_documents(self) -> int:
-        return len(self.documents)
-
-    def document(self, doc_id: str) -> Document:
-        try:
-            return self.documents[doc_id]
-        except KeyError:
-            raise CorpusLookupError(f"unknown document id {doc_id!r}") from None
+        return len(self.rows)
 
     def schema(self, category: str) -> GroupSchema:
         try:
@@ -112,11 +100,14 @@ class CorpusStore:
         outside the corpus raises, or with missing_doc="unknown" gets the
         last row."""
         self.schema(category)  # CorpusLookupError for an unknown category
-        matrix = self.groups[category]
+        matrix, rows = self.groups[category], self.rows
         if missing_doc == "unknown":
-            docs = self.documents
-            return matrix[[docs[d].row if d in docs else -1 for d in doc_ids]]
-        return matrix[[self.document(d).row for d in doc_ids]]
+            return matrix[[rows.get(d, -1) for d in doc_ids]]
+        try:
+            return matrix[[rows[d] for d in doc_ids]]
+        except KeyError as exc:
+            raise CorpusLookupError(
+                f"unknown document id {exc.args[0]!r}") from None
 
 
 def ingest_corpus(
@@ -140,12 +131,12 @@ def ingest_corpus(
             raise IngestionError("missing or invalid 'id'", line_no)
         if not isinstance(text, str):
             raise IngestionError("missing or invalid 'text'", line_no)
-        if doc_id in store.documents:
+        if doc_id in store.rows:
             raise IngestionError(f"duplicate document id {doc_id!r}", line_no)
         raw_groups = record.get("groups", {})
         if not isinstance(raw_groups, dict):
             raise IngestionError("'groups' must be an object", line_no)
-        row = len(store.documents)
+        row = len(store.texts)
         for category, (schema, rows, cols) in marks.items():
             labels = raw_groups.get(category)
             if labels is None or labels == []:
@@ -166,11 +157,12 @@ def ingest_corpus(
                     )
                 rows.append(row)
                 cols.append(schema.subgroups.index(label))
-        store.documents[doc_id] = Document(doc_id, text, row)
+        store.rows[doc_id] = row
+        store.texts.append(text)
     for category, (schema, rows, cols) in marks.items():
-        rows.append(len(store.documents))  # the row of an id outside the corpus
+        rows.append(len(store.texts))  # the row of an id outside the corpus
         cols.append(schema.index(UNKNOWN))
-        shape = (len(store.documents) + 1, len(schema.subgroups))
+        shape = (len(store.texts) + 1, len(schema.subgroups))
         matrix = store.groups[category] = np.zeros(shape)
         matrix[rows, cols] = 1.0  # a label listed twice counts once
         matrix /= matrix.sum(axis=1, keepdims=True)
@@ -185,8 +177,8 @@ def corpus_digest(store: CorpusStore) -> str:
     and the texts: the lengths frame every string, so two corpora that differ
     in any id or text digest differently.
     """
-    ids = sorted(store.documents)
-    texts = [store.documents[doc_id].text for doc_id in ids]
+    ids = sorted(store.rows)
+    texts = [store.texts[store.rows[doc_id]] for doc_id in ids]
     digest = hashlib.sha256(len(ids).to_bytes(8, "little"))
     for strings in (ids, texts):
         digest.update(np.fromiter(map(len, strings), "<i8", len(ids)).tobytes())
@@ -196,12 +188,11 @@ def corpus_digest(store: CorpusStore) -> str:
     return digest.hexdigest()
 
 
-def group_vector(store: CorpusStore, doc_id: str, category: str) -> np.ndarray:
-    """Fractional group-membership vector over the category's subgroups.
-
-    One unit of mass split equally across the document's labels; sums to 1.
-    """
-    return store.group_rows(category, [doc_id])[0]
+def is_string_lists(data) -> bool:
+    """Whether data is a JSON object whose every value is a list of strings."""
+    return isinstance(data, dict) and all(
+        isinstance(v, list) and all(isinstance(s, str) for s in v)
+        for v in data.values())
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -234,8 +225,9 @@ def load_schemas(path) -> list[GroupSchema]:
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SchemaError("schema file must map categories to subgroup lists")
+    if not is_string_lists(data):
+        raise SchemaError("schema file must map categories to lists of "
+                          "subgroup labels")
     return [GroupSchema(cat, tuple(subs)) for cat, subs in data.items()]
 
 

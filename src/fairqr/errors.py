@@ -63,7 +63,7 @@ class ParseError(RefinerError):
 
 
 class LexiconError(RefinerError):
-    """Subgroup has no lexicon entry."""
+    """Lexicon is not subgroups mapped to keyword lists, or lacks one."""
 
 
 class RunFileError(LineError):

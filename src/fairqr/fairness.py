@@ -31,7 +31,7 @@ class ExposureDistribution:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
+        if not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails
             raise ValueError(f"not a probability vector: {p}")
 
 
@@ -73,7 +73,7 @@ def target_from_qrels(
 ) -> FairnessTarget:
     """Empirical group distribution over the query's relevant documents."""
     judged = qrels.judgments(query_id).items()
-    relevant = [d for d, grade in judged if grade > 0 and d in store.documents]
+    relevant = [d for d, grade in judged if grade > 0 and d in store.rows]
     if not relevant:
         raise NoTargetError(f"no relevant documents for query {query_id!r}")
     rows = store.group_rows(category, relevant)

@@ -40,8 +40,8 @@ K1 = 1.2  # BM25 parameters, the same for every index
 B = 0.75
 
 INDEX_FORMAT = "fairqr-index"
-INDEX_VERSION = 2
-_ARRAYS = ("indptr", "positions", "tf", "lengths")
+INDEX_VERSION = 3
+_ARRAYS = ("indptr", "positions", "tf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,6 +95,7 @@ class InvertedIndex:
 
     `doc_ids` are sorted; a posting's position indexes them and `lengths`.
     `digest` is `corpus_digest` of the corpus the index was built from.
+    `lengths` (each document's token count: its postings' tf summed),
     `avgdl`, `gains` and `max_gains` (each term's largest gain, 0.0 for a
     term without postings) are derived from the other fields, and
     `doc_terms` from the postings on first use. Every array is read-only, so
@@ -106,8 +107,8 @@ class InvertedIndex:
     indptr: np.ndarray
     positions: np.ndarray
     tf: np.ndarray
-    lengths: np.ndarray
     digest: str
+    lengths: np.ndarray = field(init=False, repr=False)
     avgdl: float = field(init=False)
     gains: np.ndarray = field(init=False, repr=False)
     max_gains: np.ndarray = field(init=False, repr=False)
@@ -118,10 +119,13 @@ class InvertedIndex:
         so each is bit-identical to it. A posting's document has dl >= 1, so
         avgdl > 0 wherever it is read."""
         n = self.n_documents
+        # float64 sums of integer tf are exact below 2**53 tokens
+        self.lengths = np.bincount(self.positions, self.tf,
+                                   minlength=n).astype(np.int64)
         self.avgdl = int(self.lengths.sum()) / n
         df = np.diff(self.indptr)
         idf = {d: log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in set(df.tolist())}
-        norm = self.lengths[self.positions] * B
+        norm = (self.lengths * B)[self.positions]
         norm /= self.avgdl
         norm += 1.0 - B
         norm *= K1
@@ -135,7 +139,7 @@ class InvertedIndex:
         nonempty = df > 0  # reduceat needs strictly rising starts
         self.max_gains[nonempty] = np.maximum.reduceat(
             gains, self.indptr[:-1][nonempty])
-        for name in _ARRAYS + ("gains", "max_gains"):
+        for name in _ARRAYS + ("lengths", "gains", "max_gains"):
             getattr(self, name).flags.writeable = False  # shared by threads
 
     def __eq__(self, other):
@@ -200,13 +204,13 @@ class InvertedIndex:
 def build_index(store: CorpusStore) -> InvertedIndex:
     if store.n_documents == 0:
         raise IndexBuildError("cannot index an empty corpus")
-    doc_ids = tuple(sorted(store.documents))
+    doc_ids = tuple(sorted(store.rows))
     vocabulary, counts = _count_terms(store, doc_ids)
     return InvertedIndex(doc_ids, vocabulary, *counts, corpus_digest(store))
 
 
 def _count_terms(store: CorpusStore, doc_ids: tuple[str, ...]):
-    """(vocabulary, (indptr, positions, tf, lengths)) of the documents.
+    """(vocabulary, (indptr, positions, tf)) of the documents.
 
     Each document is tokenised once, in doc_ids order, into an int32 term id
     per token. A stable argsort by term keeps each term's tokens in document
@@ -217,8 +221,9 @@ def _count_terms(store: CorpusStore, doc_ids: tuple[str, ...]):
     vocabulary: defaultdict[str, int] = defaultdict()
     vocabulary.default_factory = vocabulary.__len__  # a new term: the next id
     term_ids, lengths = array("i"), array("i")
+    texts, rows = store.texts, store.rows
     for doc_id in doc_ids:
-        tokens = tokenize(store.documents[doc_id].text)
+        tokens = tokenize(texts[rows[doc_id]])
         lengths.append(len(tokens))
         term_ids.extend(map(vocabulary.__getitem__, tokens))
     lengths = np.frombuffer(lengths, np.intc)
@@ -240,7 +245,7 @@ def _count_terms(store: CorpusStore, doc_ids: tuple[str, ...]):
     tf = np.diff(starts)
     tf = tf.astype(np.min_scalar_type(int(tf.max(initial=1))))
     indptr = np.searchsorted(starts, term_starts)
-    return dict(vocabulary), (indptr, positions, tf, lengths)
+    return dict(vocabulary), (indptr, positions, tf)
 
 
 def _scores(hits, positions: np.ndarray) -> np.ndarray:
@@ -325,12 +330,12 @@ def retrieve(
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write the index as a version-2 `.npz` archive at exactly `path`.
+    """Write the index as a version-3 `.npz` archive at exactly `path`.
 
-    The archive holds the counts (`indptr`, `positions`, `tf`, `lengths`) and
-    `meta`, a UTF-8 JSON object with the format, version, k1, b (always K1
-    and B), digest, doc ids and terms (in id order). The gains are not saved;
-    `load_index` makes them from the counts as `build_index` does.
+    The archive holds the counts (`indptr`, `positions`, `tf`) and `meta`, a
+    UTF-8 JSON object with the format, version, k1, b (always K1 and B),
+    digest, doc ids and terms (in id order). The lengths and gains are not
+    saved; `load_index` derives them from the counts as `build_index` does.
     """
     meta = {
         "format": INDEX_FORMAT,
@@ -370,7 +375,7 @@ def load_index(path) -> InvertedIndex:
                 f"({exc}); rerun `fairqr index`") from None
 
 
-def _checked_index(meta, indptr, positions, tf, lengths) -> InvertedIndex:
+def _checked_index(meta, indptr, positions, tf) -> InvertedIndex:
     """The index of a loaded archive, or ValueError naming what is wrong."""
     if not (isinstance(meta, dict) and meta.get("format") == INDEX_FORMAT):
         raise ValueError("not an index file")
@@ -391,7 +396,7 @@ def _checked_index(meta, indptr, positions, tf, lengths) -> InvertedIndex:
     if len(vocabulary) != len(terms):
         raise ValueError("a term is listed twice")
     if not all(a.ndim == 1 and a.dtype.kind in "iu" and np.can_cast(a, np.int64)
-               for a in (indptr, positions, tf, lengths)):
+               for a in (indptr, positions, tf)):
         raise ValueError("arrays must be one-dimensional int64-castable integers")
     df = np.diff(indptr)
     if (len(indptr) != len(terms) + 1 or indptr[0] != 0 or (df < 0).any()
@@ -401,11 +406,8 @@ def _checked_index(meta, indptr, positions, tf, lengths) -> InvertedIndex:
         raise ValueError("a posting's document is out of range")
     if (tf < 1).any():
         raise ValueError("a posting's tf is below 1")
-    if len(lengths) != n or not np.array_equal(
-            np.bincount(positions, tf, minlength=n), lengths):
-        raise ValueError("lengths disagree with the postings")
     row = np.repeat(np.arange(len(terms)), df)
     if ((row[1:] == row[:-1]) & (positions[1:] <= positions[:-1])).any():
         raise ValueError("a term lists a document twice or out of order")
     return InvertedIndex(tuple(doc_ids), vocabulary,
-                         indptr, positions, tf, lengths, digest)
+                         indptr, positions, tf, digest)

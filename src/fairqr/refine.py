@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
-from .corpus import CorpusStore, tokenize
+from .corpus import CorpusStore, is_string_lists, tokenize
 from .errors import (
     DegenerateExposureError,
     EmptyQueryError,
@@ -180,6 +180,9 @@ class LexiconRefiner:
     """Deterministic refiner: append the subgroup's first unused keyword."""
 
     def __init__(self, lexicon: dict[str, list[str]]):
+        if not is_string_lists(lexicon):
+            raise LexiconError("lexicon must map subgroups to lists of "
+                               "keywords")
         self.lexicon = lexicon
 
     def refine(self, query, target, current, top_k, subgroup) -> Refinement:

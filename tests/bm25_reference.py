@@ -13,8 +13,8 @@ from fairqr.corpus import tokenize
 def reference_score(store, query_tokens: list[str], doc_id: str,
                     k1: float = 1.2, b: float = 0.75) -> float:
     """Sum of per-term BM25 contributions over distinct query terms."""
-    counts = {d: Counter(tokenize(doc.text))
-              for d, doc in store.documents.items()}
+    counts = {d: Counter(tokenize(store.texts[row]))
+              for d, row in store.rows.items()}
     avgdl = sum(sum(c.values()) for c in counts.values()) / len(counts)
     dl = sum(counts[doc_id].values())
     score = 0.0
@@ -32,7 +32,7 @@ def reference_score(store, query_tokens: list[str], doc_id: str,
 def reference_ranking(store, query_tokens: list[str], depth: int):
     """Top `depth` (doc_id, score) pairs with positive score; ties by doc id."""
     scored = [(d, reference_score(store, query_tokens, d))
-              for d in sorted(store.documents)]
+              for d in sorted(store.rows)]
     scored = [(d, s) for d, s in scored if s > 0.0]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return scored[:depth]

@@ -10,8 +10,8 @@ from fairqr.corpus import tokenize
 
 def jaccard(store, d1: str, d2: str) -> float:
     """Jaccard similarity of the two documents' token sets; 1.0 if both empty."""
-    t1 = set(tokenize(store.document(d1).text))
-    t2 = set(tokenize(store.document(d2).text))
+    t1 = set(tokenize(store.texts[store.rows[d1]]))
+    t2 = set(tokenize(store.texts[store.rows[d2]]))
     if not t1 and not t2:
         return 1.0
     return len(t1 & t2) / len(t1 | t2)

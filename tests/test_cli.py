@@ -325,6 +325,8 @@ class TestStaleInputs:
         {"male": 0.4, "female": 0.2},                # sums to 0.6
         {"male": 0.5, "female": 0.3, "other": 0.2},  # label outside schema
         ["male"],                                    # not subgroup masses
+        {"male": math.nan, "female": 0.4},           # written as NaN
+        {"male": None, "female": 1.0},               # null reads as NaN
     ])
     def test_invalid_explicit_target_is_data_error(self, workspace, tmp_path,
                                                    capsys, masses):
@@ -349,6 +351,46 @@ class TestStaleInputs:
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
         assert main(args) == 2
         assert named in capsys.readouterr().err
+
+
+    def test_schema_not_lists_of_labels_is_data_error(self, workspace,
+                                                      tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"gender": 5}')
+        args = ["run", "bm25"] + workspace["common"]
+        args[args.index(str(workspace["data"] / "schema.json"))] = str(schema)
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("data error: schema file")
+
+    @pytest.mark.parametrize("lexicon", [[1, 2], {"male": "markermale"}],
+                             ids=["list", "string-value"])
+    def test_lexicon_not_lists_of_keywords_is_data_error(
+            self, workspace, tmp_path, capsys, lexicon):
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps(lexicon))
+        args = ["run", "fairqr"] + workspace["common"]
+        args[args.index(str(workspace["data"] / "lexicon.json"))] = str(path)
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("data error: lexicon")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name, line", [
+        ("corpus.jsonl", '{"id": "x", "text": "caf\xe9"}\n'),
+        ("queries.tsv", "q99\tcaf\xe9\n"),
+    ], ids=["corpus", "queries"])
+    def test_non_utf8_input_is_data_error(self, workspace, tmp_path, capsys,
+                                          name, line):
+        path = tmp_path / name  # a Latin-1 line at the end
+        path.write_bytes((workspace["data"] / name).read_bytes()
+                         + line.encode("latin-1"))
+        args = ["run", "bm25"] + workspace["common"]
+        args[args.index(str(workspace["data"] / name))] = str(path)
+        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "utf-8" in err
 
 
 class TestEvalCmd:

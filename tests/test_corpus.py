@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fairqr.corpus import (
     GroupSchema,
     corpus_digest,
-    group_vector,
     ingest_corpus,
     read_jsonl,
     tokenize,
@@ -124,7 +123,7 @@ class TestIngest:
 
     def test_missing_category_maps_to_unknown(self):
         store = ingest_corpus([{"id": "d1", "text": "x", "groups": {}}], [GENDER])
-        assert group_vector(store, "d1", "gender").tolist() == [0.0, 0.0, 1.0]
+        assert store.group_rows("gender", ["d1"])[0].tolist() == [0.0, 0.0, 1.0]
 
     def test_unknown_subgroup_label_rejected(self):
         records = [{"id": "d1", "text": "x", "groups": {"gender": ["martian"]}}]
@@ -158,7 +157,7 @@ class TestIngest:
     def test_null_or_empty_labels_are_unknown(self, labels):
         records = [{"id": "d1", "text": "x", "groups": {"gender": labels}}]
         store = ingest_corpus(records, [GENDER])
-        assert group_vector(store, "d1", "gender").tolist() == [0.0, 0.0, 1.0]
+        assert store.group_rows("gender", ["d1"])[0].tolist() == [0.0, 0.0, 1.0]
 
     def test_token_totals(self):
         records = [
@@ -173,22 +172,19 @@ class TestIngest:
             {"id": "d1", "text": "Solar!", "groups": {"gender": ["female", "male"]}},
             {"id": "d2", "text": "wind", "groups": {}},
         ]
-        def record(store, doc):
+        def record(store, doc_id):
             labels = [s for s, mass in zip(GENDER.subgroups,
-                                           group_vector(store, doc.id, "gender"))
+                                           store.group_rows("gender", [doc_id])[0])
                       if mass > 0]
-            return {"id": doc.id, "text": doc.text,
+            return {"id": doc_id, "text": store.texts[store.rows[doc_id]],
                     "groups": {"gender": sorted(labels)}}
 
         store = ingest_corpus(records, [GENDER])
-        serialized = [record(store, store.documents[d])
-                      for d in sorted(store.documents)]
+        serialized = [record(store, d) for d in sorted(store.rows)]
         store2 = ingest_corpus(serialized, [GENDER])
-        serialized2 = [record(store2, store2.documents[d])
-                       for d in sorted(store2.documents)]
+        serialized2 = [record(store2, d) for d in sorted(store2.rows)]
         assert serialized == serialized2
-        for doc_id in store.documents:
-            assert store.documents[doc_id] == store2.documents[doc_id]
+        assert (store.rows, store.texts) == (store2.rows, store2.texts)
 
 
     def test_documents_share_label_sets(self):
@@ -201,11 +197,10 @@ class TestIngest:
         store = ingest_corpus(records, [GENDER])
 
         def vector(doc_id):
-            return group_vector(store, doc_id, "gender").tolist()
+            return store.group_rows("gender", [doc_id])[0].tolist()
 
         assert vector("d1") == vector("d2") == [0.5, 0.5, 0.0]
         assert vector("d3") == vector("d4") == [0.0, 0.0, 1.0]
-        assert not hasattr(store.documents["d1"], "__dict__")
 
     def test_group_matrix_layout(self):
         records = [
@@ -215,7 +210,7 @@ class TestIngest:
         store = ingest_corpus(records, [GENDER])
         matrix = store.groups["gender"]
         # ingest order, then the row of an id outside the corpus
-        assert [store.documents[d].row for d in ("d2", "d1")] == [0, 1]
+        assert [store.rows[d] for d in ("d2", "d1")] == [0, 1]
         assert matrix.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         assert not matrix.flags.writeable
 
@@ -230,7 +225,7 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert store.n_documents == 20_000
-        assert kept / 20_000 < 200
+        assert kept / 20_000 < 100
 
 
 class TestDigest:
@@ -258,10 +253,10 @@ class TestDigest:
 
 class TestGroupVector:
     def test_single_label(self, tiny_store):
-        assert group_vector(tiny_store, "d1", "gender").tolist() == [1.0, 0.0, 0.0]
+        assert tiny_store.group_rows("gender", ["d1"])[0].tolist() == [1.0, 0.0, 0.0]
 
     def test_unlabeled_goes_to_unknown(self, tiny_store):
-        assert group_vector(tiny_store, "d3", "gender").tolist() == [0.0, 0.0, 1.0]
+        assert tiny_store.group_rows("gender", ["d3"])[0].tolist() == [0.0, 0.0, 1.0]
 
     def test_fractional_attribution_matches_l1_normalized_indicator(self):
         # oracle: indicator vector over the schema divided by its L1 norm
@@ -270,19 +265,19 @@ class TestGroupVector:
         store = ingest_corpus(records, [GEO])
         indicator = np.array([1.0 if s in labels else 0.0 for s in GEO.subgroups])
         expected = indicator / indicator.sum()
-        assert np.allclose(group_vector(store, "d1", "geography"), expected)
-        assert group_vector(store, "d1", "geography")[GEO.index("region03")] == 0.5
+        assert np.allclose(store.group_rows("geography", ["d1"])[0], expected)
+        assert store.group_rows("geography", ["d1"])[0][GEO.index("region03")] == 0.5
 
     def test_unknown_doc_or_category_raises(self, tiny_store):
         with pytest.raises(CorpusLookupError):
-            group_vector(tiny_store, "nope", "gender")
+            tiny_store.group_rows("gender", ["nope"])
         with pytest.raises(CorpusLookupError):
-            group_vector(tiny_store, "d1", "age")
+            tiny_store.group_rows("age", ["d1"])
 
     @given(st.sets(st.sampled_from(["male", "female", "Unknown"]), min_size=1))
     def test_always_on_simplex(self, labels):
         records = [{"id": "d1", "text": "x", "groups": {"gender": sorted(labels)}}]
         store = ingest_corpus(records, [GENDER])
-        vec = group_vector(store, "d1", "gender")
+        vec = store.group_rows("gender", ["d1"])[0]
         assert (vec >= 0).all()
         assert abs(vec.sum() - 1.0) < 1e-12

@@ -47,6 +47,12 @@ def simplex(n):
 
 
 class TestExposure:
+    @pytest.mark.parametrize("probs", [[math.nan, 0.6, 0.4], [math.nan] * 3],
+                             ids=["one-nan", "all-nan"])
+    def test_nan_mass_is_not_a_distribution(self, probs):
+        with pytest.raises(ValueError, match="not a probability vector"):
+            ExposureDistribution("gender", probs)
+
     def test_seventy_thirty_split(self):
         # 7 of the top 10 male, 3 female
         labels = {f"m{i}": ["male"] for i in range(7)}

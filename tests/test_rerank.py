@@ -141,7 +141,7 @@ class TestMMR:
         store = make_store({f"d{i:02d}": t for i, t in enumerate(texts)})
         index = build_index(store)
         query = data.draw(st.sampled_from("abcz"))
-        ids = data.draw(st.permutations(sorted(store.documents)))
+        ids = data.draw(st.permutations(sorted(store.rows)))
         pool = ids[:data.draw(st.integers(1, len(ids)))]
         k = data.draw(st.integers(1, len(pool) + 2))
         candidates = make_ranked_list("q", [(d, 0.0) for d in pool])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fairqr.corpus import GroupSchema, group_vector, ingest_corpus
+from fairqr.corpus import GroupSchema, ingest_corpus
 from fairqr.errors import UsageError
 from fairqr.fairness import exposure
 from fairqr.index import build_index, retrieve
@@ -68,7 +68,7 @@ class TestGenerate:
             ]
             seen = set()
             for doc_id in relevant:
-                vector = group_vector(store, doc_id, "gender")
+                vector = store.group_rows("gender", [doc_id])[0]
                 seen.update(s for s, mass in zip(synth["spec"].subgroups, vector)
                             if mass > 0)
             assert {"male", "female"} <= seen
