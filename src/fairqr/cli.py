@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import synthetic
-from .corpus import corpus_digest, load_corpus, tokenize
+from .corpus import corpus_digest, load_corpus, open_utf8, tokenize
 from .errors import FairQRError, IndexBuildError, SchemaError, UsageError
 from .evaluation import (
     Significance,
@@ -102,7 +102,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS)
     flags = vars(args)
     if flags["config"]:
-        with open(flags["config"], encoding="utf-8") as fh:
+        with open_utf8(flags["config"]) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
@@ -136,7 +136,7 @@ def _load_queries(path) -> list[tuple[str, str]]:
     """
     queries = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -172,7 +172,7 @@ def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
     schema = store.schema(category)
     targets: dict[str, FairnessTarget] = {}
     if config.get("targets"):
-        with open(config["targets"], encoding="utf-8") as fh:
+        with open_utf8(config["targets"]) as fh:
             explicit = json.load(fh)
         if not isinstance(explicit, dict):
             raise FairQRError(f"targets file {config['targets']} is not an "
@@ -225,13 +225,13 @@ def _check_run_options(config) -> None:
 def _make_refiner(config, store):
     if config["refiner"] == "lexicon":
         _require(config, "lexicon")
-        with open(config["lexicon"], encoding="utf-8") as fh:
+        with open_utf8(config["lexicon"]) as fh:
             lexicon = json.load(fh)
         return LexiconRefiner(lexicon)
     _require(config, "base_url", "model")
     template = DEFAULT_PROMPT_TEMPLATE
     if config.get("template"):
-        with open(config["template"], encoding="utf-8") as fh:
+        with open_utf8(config["template"]) as fh:
             template = fh.read()
     client = ChatCompletionClient(config["base_url"], config["model"])
     subgroups = store.schema(config["category"]).subgroups

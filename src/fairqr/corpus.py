@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     CorpusLookupError,
+    FairQRError,
     IngestionError,
     SchemaError,
 )
@@ -30,10 +32,30 @@ _TOKEN_BYTES = bytes(c if c in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32
                      for c in range(256))
 
 
+# the same, but NUL, which ends each text in tokenize_many, maps to itself
+_BLOCK_BYTES = b"\0" + _TOKEN_BYTES[1:]
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, then the maximal runs of ASCII a-z0-9: the tokens of
     `[a-z0-9]+` over `text.lower()`, in one C pass over the bytes."""
     return (text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES)
+            .decode("ascii").split())
+
+
+def tokenize_many(texts: list[str]) -> list[str]:
+    """Each text's `tokenize` tokens followed by "\\0", in one pass of C
+    calls over them all.
+
+    Each text is followed by " \\0 ", so each NUL is a token of its own, and
+    no run of a-z0-9 (nor the context that lowercasing reads) crosses it. A
+    NUL inside a text, which `tokenize` treats as a space, is made a space.
+    """
+    block = " \0 ".join(texts + [""])
+    if block.count("\0") != len(texts):
+        texts = [text.replace("\0", " ") for text in texts]
+        block = " \0 ".join(texts + [""])
+    return (block.lower().encode("ascii", "replace").translate(_BLOCK_BYTES)
             .decode("ascii").split())
 
 
@@ -170,15 +192,26 @@ def ingest_corpus(
     return store
 
 
+def texts_by_id(
+        store: CorpusStore) -> tuple[tuple[str, ...], list[str]]:
+    """The document ids, sorted, and their texts in that order."""
+    ids = tuple(sorted(store.rows))
+    return ids, list(map(store.texts.__getitem__,
+                         map(store.rows.__getitem__, ids)))
+
+
 def corpus_digest(store: CorpusStore) -> str:
-    """sha256 of the documents' ids and texts, in id order.
+    """`texts_digest` of the corpus's ids and texts, in id order."""
+    return texts_digest(*texts_by_id(store))
+
+
+def texts_digest(ids, texts) -> str:
+    """sha256 of the ids and texts.
 
     The count, then the lengths of the ids, the ids, the lengths of the texts
     and the texts: the lengths frame every string, so two corpora that differ
     in any id or text digest differently.
     """
-    ids = sorted(store.rows)
-    texts = [store.texts[store.rows[doc_id]] for doc_id in ids]
     digest = hashlib.sha256(len(ids).to_bytes(8, "little"))
     for strings in (ids, texts):
         digest.update(np.fromiter(map(len, strings), "<i8", len(ids)).tobytes())
@@ -195,12 +228,36 @@ def is_string_lists(data) -> bool:
         for v in data.values())
 
 
+@contextmanager
+def open_utf8(path):
+    """The file at `path`, open as UTF-8 text.
+
+    A byte that is not UTF-8 raises FairQRError naming the path and line.
+    The line is found only then, by decoding the file's bytes again, so a
+    file that decodes costs nothing more.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise FairQRError(
+                    f"{path} line {line}: byte 0x{data[exc.start]:02x} is not "
+                    f"utf-8 ({exc.reason})") from None
+            raise
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_jsonl(path) -> Iterator[dict]:
     """Yield parsed objects from a JSONL file, with line numbers on errors."""
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()  # a superset of JSON's whitespace
             if not line:
@@ -223,7 +280,7 @@ def load_schemas(path) -> list[GroupSchema]:
 
     Format: {"<category>": ["<subgroup>", ...], ...}
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         data = json.load(fh)
     if not is_string_lists(data):
         raise SchemaError("schema file must map categories to lists of "

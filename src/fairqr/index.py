@@ -28,7 +28,13 @@ from math import log
 
 import numpy as np
 
-from .corpus import CorpusStore, corpus_digest, tokenize
+from .corpus import (
+    CorpusStore,
+    texts_by_id,
+    texts_digest,
+    tokenize,
+    tokenize_many,
+)
 from .errors import (
     CorpusLookupError,
     EmptyQueryError,
@@ -201,51 +207,64 @@ class InvertedIndex:
         return hits
 
 
+_BLOCK = 1024  # texts per tokenize_many call: few calls, a small block
+
+
 def build_index(store: CorpusStore) -> InvertedIndex:
     if store.n_documents == 0:
         raise IndexBuildError("cannot index an empty corpus")
-    doc_ids = tuple(sorted(store.rows))
-    vocabulary, counts = _count_terms(store, doc_ids)
-    return InvertedIndex(doc_ids, vocabulary, *counts, corpus_digest(store))
+    doc_ids, texts = texts_by_id(store)
+    vocabulary, counts = _count_terms(texts)
+    return InvertedIndex(doc_ids, vocabulary, *counts,
+                         texts_digest(doc_ids, texts))
 
 
-def _count_terms(store: CorpusStore, doc_ids: tuple[str, ...]):
+def _count_terms(texts: list[str]):
     """(vocabulary, (indptr, positions, tf)) of the documents.
 
-    Each document is tokenised once, in doc_ids order, into an int32 term id
-    per token. A stable argsort by term keeps each term's tokens in document
-    order, so each run of one document within a term is one posting. Sorting
-    the int32 ids alone, and dropping each transient once used, keeps the
-    peak memory under twice that of the finished index.
+    The texts are tokenised _BLOCK at a time into an int32 term id per token,
+    where id 0 ends a document and a term's id is one more than its final
+    one. Each token becomes the key id * documents + its document, in the
+    narrowest unsigned dtype that holds them all; sorting the keys in place
+    orders them by term, then document, so each run of one key is one
+    posting, and the ends, keys below `documents`, come first. One array of
+    keys, sorted with no index array beside it, keeps the peak memory under
+    twice that of the finished index.
     """
     vocabulary: defaultdict[str, int] = defaultdict()
     vocabulary.default_factory = vocabulary.__len__  # a new term: the next id
-    term_ids, lengths = array("i"), array("i")
-    texts, rows = store.texts, store.rows
-    for doc_id in doc_ids:
-        tokens = tokenize(texts[rows[doc_id]])
-        lengths.append(len(tokens))
-        term_ids.extend(map(vocabulary.__getitem__, tokens))
-    lengths = np.frombuffer(lengths, np.intc)
-    terms = np.frombuffer(term_ids, np.intc)
-    term_starts = np.zeros(len(vocabulary) + 1, np.int64)  # in token order
-    np.cumsum(np.bincount(terms, minlength=len(vocabulary)),
-              out=term_starts[1:])
-    order = np.argsort(terms, kind="stable")
-    del terms, term_ids
-    docs = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)[order]
-    del order
-    first = np.empty(len(docs) + 1, bool)  # starts a posting, or the end
-    np.not_equal(docs[1:], docs[:-1], out=first[1:-1])
-    first[term_starts] = True
+    vocabulary["\0"]  # id 0: the end of a document
+    term_ids = array("i")
+    for at in range(0, len(texts), _BLOCK):
+        term_ids.extend(map(vocabulary.__getitem__,
+                            tokenize_many(texts[at:at + _BLOCK])))
+    n_docs, n_terms = len(texts), len(vocabulary) - 1
+    ids = np.frombuffer(term_ids, np.intc)
+    spans = np.diff(np.flatnonzero(ids == 0), prepend=-1)  # tokens + end
+    key_type = np.min_scalar_type((n_terms + 1) * n_docs)
+    keys = ids.astype(key_type)
+    del ids, term_ids
+    keys *= n_docs
+    keys += np.repeat(np.arange(n_docs, dtype=key_type), spans)
+    del spans
+    keys.sort()
+    keys = keys[n_docs:]
+    first = np.empty(len(keys) + 1, bool)  # starts a posting, or the end
+    first[0] = first[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
     starts = np.flatnonzero(first)
     del first
-    positions = docs[starts[:-1]]
-    del docs
+    keys = keys[starts[:-1]]
     tf = np.diff(starts)
+    del starts
     tf = tf.astype(np.min_scalar_type(int(tf.max(initial=1))))
-    indptr = np.searchsorted(starts, term_starts)
-    return dict(vocabulary), (indptr, positions, tf)
+    indptr = np.searchsorted(  # each term's first key, and the end
+        keys, np.arange(1, n_terms + 2, dtype=key_type) * n_docs)
+    keys %= n_docs
+    positions = keys.astype(np.int32)
+    del keys
+    vocabulary = {term: t - 1 for term, t in vocabulary.items() if t}
+    return vocabulary, (indptr, positions, tf)
 
 
 def _scores(hits, positions: np.ndarray) -> np.ndarray:

@@ -247,8 +247,12 @@ def fair_qr(
     refiner for a new query and measures it. Returns the pool_size-deep
     retrieval of the best accepted query and the per-iteration trace. A
     refiner or retrieval failure ends the loop with the best set so far and
-    is named in `trace.error`.
+    is named in `trace.error`. A config of another category than the
+    target's raises UsageError.
     """
+    if config.category != target.category:
+        raise UsageError(f"config category {config.category!r} is not the "
+                         f"target's, {target.category!r}")
     subgroups = store.schema(target.category).subgroups
     goal = target.target.probabilities
     trace = RefinementTrace(query_id=query_id, category=target.category,

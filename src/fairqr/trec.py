@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .corpus import open_utf8
 from .errors import RunFileError
 from .index import RankedList, make_ranked_list
 
@@ -34,7 +35,7 @@ class Qrels:
 
 def parse_qrels(path) -> Qrels:
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -77,7 +78,7 @@ def write_run(run: dict[str, RankedList], path, tag: str = "fairqr") -> None:
 def parse_run(path) -> dict[str, RankedList]:
     """Parse a TREC run file back into per-query ranked lists."""
     rows: dict[str, dict[str, tuple[int, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -36,3 +36,23 @@ def reference_ranking(store, query_tokens: list[str], depth: int):
     scored = [(d, s) for d, s in scored if s > 0.0]
     scored.sort(key=lambda kv: (-kv[1], kv[0]))
     return scored[:depth]
+
+
+def reference_postings(store):
+    """(vocabulary, indptr, positions, tf) of `build_index`, built one
+    document at a time: terms numbered by first use in doc id order, each
+    term's postings in that order."""
+    vocabulary, postings = {}, []
+    for position, doc_id in enumerate(sorted(store.rows)):
+        counts = Counter(tokenize(store.texts[store.rows[doc_id]]))
+        for term, tf in counts.items():
+            if term not in vocabulary:
+                vocabulary[term] = len(vocabulary)
+                postings.append([])
+            postings[vocabulary[term]].append((position, tf))
+    indptr = [0]
+    for term_postings in postings:
+        indptr.append(indptr[-1] + len(term_postings))
+    return (vocabulary, indptr,
+            [position for p in postings for position, _ in p],
+            [tf for p in postings for _, tf in p])

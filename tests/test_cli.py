@@ -379,18 +379,32 @@ class TestStaleInputs:
     @pytest.mark.parametrize("name, line", [
         ("corpus.jsonl", '{"id": "x", "text": "caf\xe9"}\n'),
         ("queries.tsv", "q99\tcaf\xe9\n"),
-    ], ids=["corpus", "queries"])
+        ("qrels.txt", "q99 0 caf\xe9 1\n"),
+        ("run-bm25.txt", "q99 Q0 caf\xe9 1 1.0 bm25\n"),
+        ("schema.json", "\xe9\n"),
+    ], ids=["corpus", "queries", "qrels", "run-file", "schema"])
     def test_non_utf8_input_is_data_error(self, workspace, tmp_path, capsys,
                                           name, line):
+        data, runs = workspace["data"], workspace["runs"]
+        original = (runs if name == "run-bm25.txt" else data) / name
         path = tmp_path / name  # a Latin-1 line at the end
-        path.write_bytes((workspace["data"] / name).read_bytes()
-                         + line.encode("latin-1"))
-        args = ["run", "bm25"] + workspace["common"]
-        args[args.index(str(workspace["data"] / name))] = str(path)
-        args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
+        path.write_bytes(original.read_bytes() + line.encode("latin-1"))
+        if name in ("qrels.txt", "run-bm25.txt"):  # read by eval
+            args = ["eval", str(runs / "run-bm25.txt"),
+                    "--corpus", str(data / "corpus.jsonl"),
+                    "--schema", str(data / "schema.json"),
+                    "--qrels", str(data / "qrels.txt"),
+                    "--out", str(tmp_path / "out")]
+        else:
+            args = ["run", "bm25"] + workspace["common"]
+            args[args.index(str(runs))] = str(tmp_path / "out")
+        args[args.index(str(original))] = str(path)
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "utf-8" in err
+        line_no = original.read_bytes().count(b"\n") + 1
+        assert f"{path} line {line_no}: byte 0xe9 is not utf-8" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalCmd:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fairqr.corpus import (
@@ -12,6 +12,7 @@ from fairqr.corpus import (
     ingest_corpus,
     read_jsonl,
     tokenize,
+    tokenize_many,
 )
 from fairqr.errors import (
     CorpusLookupError,
@@ -60,6 +61,18 @@ class TestTokenize:
     ])
     def test_non_ascii_separates(self, text, tokens):
         assert tokenize(text) == tokens == TOKEN_RE.findall(text.lower())
+
+    @given(st.lists(st.lists(st.sampled_from(
+        ["\0", "\u0130", "\u212a", "\u03a3", "\u03c2", "\xdf", "\ufb01",
+         "\ud800", "\xa0", "\uff21", " ", "\t", "\n", "a", "Z", "9", "-"]),
+        max_size=8).map("".join), max_size=8))
+    @example([])
+    @example(["", " ", "\xa0\t\n", "\0", "a\0b", "\u03a3\0\u03a3"])
+    def test_tokenize_many_is_tokenize_of_each_text(self, texts):
+        # NUL, dotted I, Kelvin sign, sigma and final sigma, sharp s, the fi
+        # ligature, a lone surrogate, NBSP and a full-width A
+        each = [token for text in texts for token in tokenize(text) + ["\0"]]
+        assert tokenize_many(texts) == each
 
 
 class TestReadJsonl:

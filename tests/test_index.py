@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bm25_reference import reference_ranking, reference_score
+from bm25_reference import (
+    reference_postings,
+    reference_ranking,
+    reference_score,
+)
 from fairqr import index as index_module
-from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
+from fairqr.corpus import GroupSchema, corpus_digest, ingest_corpus, tokenize
 from fairqr.errors import (
     CorpusLookupError,
     EmptyQueryError,
@@ -72,6 +76,49 @@ class TestBuild:
         assert index.n_documents == docs
         assert peak <= 2 * kept
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(["a", "B", "b", "c-d", "e", "", "\0", "!"]),
+                 max_size=6).map(" ".join),
+        min_size=1, max_size=12))
+    def test_matches_per_document_reference_across_blocks(self, texts):
+        # two texts a block, so most documents' postings cross a block edge;
+        # ids out of ingest order, so sorting them moves texts
+        store = make_store({f"d{(i * 37) % 101:03d}": t
+                            for i, t in enumerate(texts)})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "_BLOCK", 2)
+            assert_matches_reference(build_index(store), store)
+
+    @pytest.mark.parametrize("texts", [[""], ["", " ", "\0", "\t\n"]],
+                             ids=["one", "four"])
+    def test_corpus_of_empty_texts(self, tmp_path, texts):
+        store = make_store({f"d{i}": t for i, t in enumerate(texts)})
+        index = build_index(store)
+        assert_matches_reference(index, store)
+        assert index.lengths.tolist() == [0] * len(texts)
+        assert index.avgdl == 0.0 and index.doc_terms[1].size == 0
+        assert len(retrieve(index, "a", 5)) == 0
+        save_index(index, tmp_path / "index.npz")
+        assert load_index(tmp_path / "index.npz") == index
+
+    # (documents, terms): the (terms + 1) * documents sort keys just below
+    # and at 2**8, 2**16 and 2**32, where their dtype widens
+    @pytest.mark.parametrize("docs, terms", [
+        (1, 254), (1, 255), (1, 65534), (1, 65535),
+        (65536, 65534), (65536, 65535)])
+    def test_matches_reference_where_the_key_dtype_widens(self, docs, terms):
+        # token j is term (11 * j) mod terms, in document j mod docs; 11 is
+        # prime to every term count here, so each term occurs
+        texts = [[] for _ in range(docs)]
+        for j in range(terms + docs):
+            texts[j % docs].append(f"t{11 * j % terms}")
+        store = make_store({f"d{i:05d}": " ".join(t)
+                            for i, t in enumerate(texts)})
+        index = build_index(store)
+        assert len(index.vocabulary) == terms
+        assert_matches_reference(index, store)
+
     def test_single_doc_avgdl(self):
         index = build_index(make_store({"d1": "x y z"}))
         assert index.avgdl == 3.0
@@ -83,6 +130,17 @@ class TestBuild:
     def test_empty_corpus_rejected(self):
         with pytest.raises(IndexBuildError):
             build_index(make_store({}))
+
+
+def assert_matches_reference(index, store):
+    vocabulary, indptr, positions, tf = reference_postings(store)
+    assert list(index.vocabulary.items()) == list(vocabulary.items())
+    assert index.indptr.tolist() == indptr and index.indptr.dtype == np.int64
+    assert (index.positions.tolist() == positions
+            and index.positions.dtype == np.int32)
+    assert (index.tf.tolist() == tf
+            and index.tf.dtype == np.min_scalar_type(max(tf, default=1)))
+    assert index.digest == corpus_digest(store)
 
 
 class TestScore:

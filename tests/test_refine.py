@@ -16,7 +16,13 @@ from urllib.error import HTTPError, URLError
 import pytest
 
 from fairqr.corpus import GroupSchema, ingest_corpus
-from fairqr.errors import LexiconError, ParseError, RefinerError, TemplateError
+from fairqr.errors import (
+    LexiconError,
+    ParseError,
+    RefinerError,
+    TemplateError,
+    UsageError,
+)
 from fairqr.fairness import (
     ExposureDistribution,
     FairnessTarget,
@@ -298,6 +304,13 @@ class TestFairQRLoop:
         assert trace.terminal_reason == "target-met"
         assert len(trace.records) == 1
         assert ranked == baseline
+
+    def test_config_of_another_category_is_rejected(self):
+        store, index = small_collection()
+        config = RefinerConfig(category="geography", pool_size=3, k=3)
+        with pytest.raises(UsageError, match="'geography' is not the target's"):
+            fair_qr(index, store, "solar power", TARGET, config,
+                    LexiconRefiner({"female": ["women"]}), "q1")
 
     def test_identity_refiner_terminates_no_decrease(self):
         store, index = small_collection()
