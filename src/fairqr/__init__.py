@@ -16,6 +16,7 @@ from .corpus import (
 )
 from .evaluation import (
     RunReport,
+    compare_runs,
     composite,
     evaluate_run,
     ndcg_at_k,
@@ -57,7 +58,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CorpusStore", "GroupSchema", "UNKNOWN", "ingest_corpus", "load_corpus",
     "tokenize",
-    "RunReport", "composite", "evaluate_run", "ndcg_at_k", "paired_t_test",
+    "RunReport", "compare_runs", "composite", "evaluate_run", "ndcg_at_k",
+    "paired_t_test",
     "ExposureDistribution", "FairnessTarget", "awrf", "exposure",
     "js_divergence", "kl_divergence", "most_underrepresented",
     "target_from_qrels",

@@ -18,9 +18,8 @@ from . import synthetic
 from .corpus import corpus_digest, load_corpus, open_utf8, tokenize
 from .errors import FairQRError, IndexBuildError, SchemaError, UsageError
 from .evaluation import (
-    Significance,
+    compare_runs,
     evaluate_run,
-    paired_t_test,
     report_to_dict,
     report_to_text,
 )
@@ -357,7 +356,6 @@ def cmd_eval(args) -> int:
     _require(config, "qrels", "corpus", "schema")
     store = load_corpus(config["corpus"], config["schema"])
     qrels = parse_qrels(config["qrels"])
-    category = config["category"]
     run_a = parse_run(args.run)
     targets = _targets_for(config, store, qrels, sorted(run_a))
     k = config["k"]
@@ -365,21 +363,7 @@ def cmd_eval(args) -> int:
     if args.run_b:
         run_b = parse_run(args.run_b)
         report_b = evaluate_run(run_b, qrels, targets, store, k)
-        rows_a = {r.query_id: r for r in report.rows}
-        rows_b = {r.query_id: r for r in report_b.rows}
-        shared = [q for q in rows_a if q in rows_b]
-        if len(shared) >= 2:
-            a_ndcg = [rows_a[q].ndcg for q in shared]
-            b_ndcg = [rows_b[q].ndcg for q in shared]
-            a_awrf = [rows_a[q].awrf[category] for q in shared]
-            b_awrf = [rows_b[q].awrf[category] for q in shared]
-            report.significance = Significance(
-                comparison_run=args.run_b,
-                metrics={
-                    f"ndcg@{k}": paired_t_test(a_ndcg, b_ndcg),
-                    f"awrf@{k}.{category}": paired_t_test(a_awrf, b_awrf),
-                },
-            )
+        report.significance = compare_runs(report, report_b, args.run_b)
     text = report_to_text(report)
     if config.get("out"):
         os.makedirs(config["out"], exist_ok=True)

@@ -256,7 +256,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_jsonl(path) -> Iterator[dict]:
-    """Yield parsed objects from a JSONL file, with line numbers on errors."""
+    """Yield parsed objects from a JSONL file, with line numbers on errors;
+    an IngestionError thrown in at a record is raised at its file line."""
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()  # a superset of JSON's whitespace
@@ -272,7 +273,10 @@ def read_jsonl(path) -> Iterator[dict]:
                 except json.JSONDecodeError as exc:
                     raise IngestionError(f"invalid JSON: {exc}",
                                          line_no) from None
-            yield record
+            try:
+                yield record
+            except IngestionError as exc:
+                raise IngestionError(exc.detail, line_no) from None
 
 
 def load_schemas(path) -> list[GroupSchema]:
@@ -289,6 +293,14 @@ def load_schemas(path) -> list[GroupSchema]:
 
 
 def load_corpus(corpus_path, schema_path) -> CorpusStore:
-    """Convenience: read schema + JSONL corpus from disk."""
+    """Read schema + JSONL corpus from disk. A record's IngestionError names
+    its file line, not its position, which blank lines set apart."""
     schemas = load_schemas(schema_path)
-    return ingest_corpus(read_jsonl(corpus_path), schemas)
+    records = read_jsonl(corpus_path)
+    try:
+        return ingest_corpus(records, schemas)
+    except IngestionError as exc:
+        # read_jsonl raises it again at the line of the record it yielded
+        # last, the one at fault; an error of its own comes back as it was
+        records.throw(exc)
+        raise

@@ -13,6 +13,7 @@ class LineError(FairQRError):
     """An error at a numbered input line, prefixed `line N:` when known."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.detail = message  # without the line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

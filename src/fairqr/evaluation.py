@@ -103,35 +103,29 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 class QueryRow:
     query_id: str
     ndcg: float
-    awrf: dict[str, float]       # category -> AWRF@k
-    product: dict[str, float]    # category -> nDCG * AWRF
-
-
-@dataclass
-class Significance:
-    comparison_run: str
-    metrics: dict[str, tuple[float, float]]  # metric name -> (t, p)
+    awrf: float     # AWRF@k in the report's category
+    product: float  # nDCG * AWRF
 
 
 @dataclass
 class RunReport:
     k: int
+    category: str = ""  # every target's; "" when there are none
     rows: list[QueryRow] = field(default_factory=list)
     excluded: list[str] = field(default_factory=list)
-    significance: Significance | None = None
+    # {"comparison_run": path, "metrics": {metric: {"t": t, "p": p}}}
+    significance: dict | None = None
 
     @property
     def aggregates(self) -> dict[str, float]:
-        out: dict[str, float] = {}
         if not self.rows:
-            return out
-        out["ndcg"] = float(np.mean([r.ndcg for r in self.rows]))
-        for cat in self.rows[0].awrf:
-            out[f"awrf.{cat}"] = float(np.mean([r.awrf[cat] for r in self.rows]))
-            out[f"product.{cat}"] = float(
-                np.mean([r.product[cat] for r in self.rows])
-            )
-        return out
+            return {}
+        cat = self.category
+        return {
+            "ndcg": float(np.mean([r.ndcg for r in self.rows])),
+            f"awrf.{cat}": float(np.mean([r.awrf for r in self.rows])),
+            f"product.{cat}": float(np.mean([r.product for r in self.rows])),
+        }
 
 
 def evaluate_run(
@@ -152,7 +146,7 @@ def evaluate_run(
     if len(categories) > 1:
         raise UsageError("targets of more than one category: "
                          + ", ".join(categories))
-    report = RunReport(k=k)
+    report = RunReport(k=k, category="".join(categories))
     for query_id in sorted(run):
         ranked = run[query_id]
         target = targets.get(query_id)
@@ -161,61 +155,58 @@ def evaluate_run(
             continue
         fairness = awrf(ranked, target, store, k, missing_doc="unknown")
         ndcg = ndcg_at_k(ranked, qrels, query_id, k)
-        row = QueryRow(
-            query_id=query_id,
-            ndcg=ndcg,
-            awrf={target.category: fairness},
-            product={target.category: composite(ndcg, fairness)},
-        )
-        report.rows.append(row)
+        report.rows.append(QueryRow(query_id, ndcg, fairness,
+                                    composite(ndcg, fairness)))
     return report
 
 
+def compare_runs(report: RunReport, other: RunReport,
+                 name: str) -> dict | None:
+    """Paired t-tests of nDCG@k and AWRF@k between two reports of one
+    experiment, over the queries both scored, as `RunReport.significance`
+    against the run called `name`; None below 2 shared queries."""
+    theirs = {r.query_id: r for r in other.rows}
+    pairs = [(r, theirs[r.query_id]) for r in report.rows
+             if r.query_id in theirs]
+    if len(pairs) < 2:
+        return None
+    metrics = {}
+    for metric, attr in ((f"ndcg@{report.k}", "ndcg"),
+                         (f"awrf@{report.k}.{report.category}", "awrf")):
+        t, p = paired_t_test([getattr(a, attr) for a, _ in pairs],
+                             [getattr(b, attr) for _, b in pairs])
+        metrics[metric] = {"t": t, "p": p}
+    return {"comparison_run": name, "metrics": metrics}
+
+
 def report_to_dict(report: RunReport) -> dict:
+    cat = report.category
     out = {
         "k": report.k,
-        "rows": [
-            {
-                "query_id": r.query_id,
-                "ndcg": r.ndcg,
-                "awrf": r.awrf,
-                "product": r.product,
-            }
-            for r in report.rows
-        ],
+        "rows": [{"query_id": r.query_id, "ndcg": r.ndcg,
+                  "awrf": {cat: r.awrf}, "product": {cat: r.product}}
+                 for r in report.rows],
         "aggregates": report.aggregates,
         "excluded": report.excluded,
     }
     if report.significance is not None:
-        out["significance"] = {
-            "comparison_run": report.significance.comparison_run,
-            "metrics": {
-                name: {"t": t, "p": p}
-                for name, (t, p) in report.significance.metrics.items()
-            },
-        }
+        out["significance"] = report.significance
     return out
 
 
 def report_to_text(report: RunReport) -> str:
     """Aligned plain-text table of per-query rows plus aggregates."""
-    cats = sorted(report.rows[0].awrf) if report.rows else []
-    header = ["query", f"nDCG@{report.k}"]
-    for cat in cats:
-        header += [f"AWRF@{report.k}[{cat}]", f"nDCG*AWRF[{cat}]"]
-    lines = [header]
-    for row in report.rows:
-        cells = [row.query_id, f"{row.ndcg:.4f}"]
-        for cat in cats:
-            cells += [f"{row.awrf[cat]:.4f}", f"{row.product[cat]:.4f}"]
-        lines.append(cells)
-    agg = report.aggregates
-    if agg:
-        cells = ["MEAN", f"{agg['ndcg']:.4f}"]
-        for cat in cats:
-            cells += [f"{agg[f'awrf.{cat}']:.4f}", f"{agg[f'product.{cat}']:.4f}"]
-        lines.append(cells)
-    widths = [max(len(row[i]) for row in lines) for i in range(len(header))]
+    k, cat = report.k, report.category
+    lines = [["query", f"nDCG@{k}"]]
+    if report.rows:
+        lines[0] += [f"AWRF@{k}[{cat}]", f"nDCG*AWRF[{cat}]"]
+        agg = report.aggregates
+        table = [(r.query_id, r.ndcg, r.awrf, r.product) for r in report.rows]
+        table.append(("MEAN", agg["ndcg"], agg[f"awrf.{cat}"],
+                      agg[f"product.{cat}"]))
+        lines += [[name] + [f"{v:.4f}" for v in values]
+                  for name, *values in table]
+    widths = [max(len(row[i]) for row in lines) for i in range(len(lines[0]))]
     rendered = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in lines
@@ -224,7 +215,8 @@ def report_to_text(report: RunReport) -> str:
         rendered.append(f"excluded ({len(report.excluded)}): "
                         + ", ".join(report.excluded))
     if report.significance is not None:
-        rendered.append(f"paired t-test vs {report.significance.comparison_run}:")
-        for name, (t, p) in report.significance.metrics.items():
-            rendered.append(f"  {name}: t={t:.4f} p={p:.4f}")
+        rendered.append("paired t-test vs "
+                        f"{report.significance['comparison_run']}:")
+        for name, test in report.significance["metrics"].items():
+            rendered.append(f"  {name}: t={test['t']:.4f} p={test['p']:.4f}")
     return "\n".join(rendered) + "\n"

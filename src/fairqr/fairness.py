@@ -81,21 +81,17 @@ def target_from_qrels(
     return FairnessTarget(query_id, category, dist, provenance="qrels-empirical")
 
 
-def _as_vector(dist) -> np.ndarray:
-    if isinstance(dist, ExposureDistribution):
-        return dist.probabilities
-    return np.asarray(dist, dtype=float)
-
-
-def _check_lengths(p: np.ndarray, q: np.ndarray) -> None:
+def _vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """p and q as float arrays of one shape."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise UsageError(f"length mismatch: {p.shape} vs {q.shape}")
+    return p, q
 
 
 def kl_divergence(p, q, smoothing: float = KL_SMOOTHING) -> float:
     """KL(p || q) in nats after additive smoothing and renormalization."""
-    p, q = _as_vector(p), _as_vector(q)
-    _check_lengths(p, q)
+    p, q = _vectors(p, q)
     ps = (p + smoothing) / (p + smoothing).sum()
     qs = (q + smoothing) / (q + smoothing).sum()
     return float(np.sum(ps * np.log(ps / qs)))
@@ -103,8 +99,7 @@ def kl_divergence(p, q, smoothing: float = KL_SMOOTHING) -> float:
 
 def js_divergence(p, q) -> float:
     """Jensen-Shannon divergence, base 2, in [0, 1]; 0 log 0 taken as 0."""
-    p, q = _as_vector(p), _as_vector(q)
-    _check_lengths(p, q)
+    p, q = _vectors(p, q)
     m = 0.5 * (p + q)
 
     def _kl2(a: np.ndarray, b: np.ndarray) -> float:
@@ -123,7 +118,8 @@ def awrf(
 ) -> float:
     """1 - JS(system exposure, target exposure); 1 is perfectly fair."""
     current = exposure(ranked, store, target.category, k, missing_doc)
-    return 1.0 - js_divergence(current, target.target)
+    return 1.0 - js_divergence(current.probabilities,
+                               target.target.probabilities)
 
 
 def most_underrepresented(current, target, subgroups) -> str:
@@ -131,8 +127,7 @@ def most_underrepresented(current, target, subgroups) -> str:
 
     Ties break by schema order.
     """
-    cur, tgt = _as_vector(current), _as_vector(target)
-    _check_lengths(cur, tgt)
+    cur, tgt = _vectors(current, target)
     if len(subgroups) != len(cur):
         raise UsageError("subgroup labels do not match distribution length")
     deficits = tgt - cur

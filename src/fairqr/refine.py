@@ -134,6 +134,13 @@ def _render_distribution(subgroups, probabilities) -> str:
     return "{" + pairs + "}"
 
 
+def _check_template(template: str) -> None:
+    """TemplateError unless the template holds every placeholder."""
+    for placeholder in PLACEHOLDERS:
+        if placeholder not in template:
+            raise TemplateError(f"template missing placeholder {placeholder}")
+
+
 def render_prompt(
     template: str,
     query: str,
@@ -144,9 +151,7 @@ def render_prompt(
     subgroups,
 ) -> str:
     """Substitute all placeholders; distributions render to 4 decimals."""
-    for placeholder in PLACEHOLDERS:
-        if placeholder not in template:
-            raise TemplateError(f"template missing placeholder {placeholder}")
+    _check_template(template)
     return (
         template.replace("{Query}", query)
         .replace(
@@ -200,7 +205,8 @@ class LLMRefiner:
     """Refiner backed by a chat-completion endpoint.
 
     Nondeterministic for temperature > 0. Holds only configuration, so one
-    instance can serve concurrent loops.
+    instance can serve concurrent loops. A template missing a placeholder
+    raises TemplateError here, before any query reaches a prompt.
     """
 
     def __init__(
@@ -212,6 +218,7 @@ class LLMRefiner:
     ):
         if not (0.0 <= temperature <= 2.0):
             raise UsageError("temperature must be in [0, 2]")
+        _check_template(template)
         self.client = client
         self.subgroups = tuple(subgroups)
         self.temperature = temperature

@@ -210,6 +210,28 @@ class TestRunCmd:
             assert trace["error"].startswith("RefinerError: chat completion")
             assert "endpoint down" in trace["error"]
 
+    @pytest.mark.parametrize("qrels", [True, False],
+                             ids=["targets", "no-targets"])
+    def test_template_missing_a_placeholder_fails_before_writing(
+            self, workspace, tmp_path, monkeypatch, capsys, qrels):
+        # without qrels no query has a target, so none reaches a prompt
+        def no_call(url, headers, payload):
+            raise AssertionError("the endpoint was called")
+
+        monkeypatch.setattr("fairqr.llm._urllib_transport", no_call)
+        template = tmp_path / "template.txt"
+        template.write_text(DEFAULT_PROMPT_TEMPLATE.replace("{subgroup}", "x"))
+        common = list(workspace["common"])
+        if not qrels:
+            del common[common.index("--qrels"):common.index("--qrels") + 2]
+        common[common.index(str(workspace["runs"]))] = str(tmp_path / "out")
+        assert main(["run", "fairqr", "--refiner", "llm", "--base-url",
+                     "http://llm.invalid/v1", "--model", "m",
+                     "--template", str(template)] + common) == 2
+        err = capsys.readouterr().err
+        assert "template missing placeholder {subgroup}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["bm25", "mmr", "fairqr"])
     @pytest.mark.parametrize("line", ["q00\t!!!", "q00 topic00",
                                       "q01\ttopic00"])
@@ -472,6 +494,84 @@ class TestEvalCmd:
         assert err.startswith("data error:")
         assert f"document {doc_id!r} listed twice for query {query_id!r}" in err
         assert not (tmp_path / "report-dup.json").exists()
+
+
+def _row(query_id, ndcg, awrf, product):
+    return {"awrf": {"gender": awrf}, "ndcg": ndcg,
+            "product": {"gender": product}, "query_id": query_id}
+
+
+class TestReportBytes:
+    """The exact bytes of `eval`'s reports where the golden experiment does
+    not reach: no rows, excluded queries, and a comparison run sharing too
+    few queries for a t-test."""
+
+    RUNS = {
+        "empty.txt": "",
+        # q1 balanced and ideal; q2 all male with one relevant; q9 unjudged
+        "run-a.txt": ("q1 Q0 m1 1 2.0 a\nq1 Q0 f1 2 1.0 a\n"
+                      "q2 Q0 m1 1 2.0 a\nq2 Q0 m2 2 1.0 a\nq9 Q0 f1 1 1.0 a\n"),
+        "run-b.txt": "q2 Q0 f1 1 2.0 b\nq2 Q0 m1 2 1.0 b\nq9 Q0 m1 1 1.0 b\n",
+    }
+    EXCLUDED_TEXT = (
+        "query  nDCG@2  AWRF@2[gender]  nDCG*AWRF[gender]\n"
+        "q1     1.0000  1.0000          1.0000\n"
+        "q2     0.6131  0.6887          0.4223\n"
+        "MEAN   0.8066  0.8444          0.7111\n"
+        "excluded (1): q9\n")
+    EXCLUDED_JSON = {
+        "aggregates": {"awrf.gender": 0.8443609377704335,
+                       "ndcg": 0.8065735963827292,
+                       "product.gender": 0.711143942292022},
+        "excluded": ["q9"], "k": 2,
+        "rows": [_row("q1", 1.0, 1.0, 1.0),
+                 _row("q2", 0.6131471927654584, 0.6887218755408672,
+                      0.4222878845840441)],
+    }
+    UNPAIRED_TEXT = (
+        "query  nDCG@2  AWRF@2[gender]  nDCG*AWRF[gender]\n"
+        "q2     1.0000  1.0000          1.0000\n"
+        "MEAN   1.0000  1.0000          1.0000\n"
+        "excluded (1): q9\n")
+    UNPAIRED_JSON = {
+        "aggregates": {"awrf.gender": 1.0, "ndcg": 1.0,
+                       "product.gender": 1.0},
+        "excluded": ["q9"], "k": 2, "rows": [_row("q2", 1.0, 1.0, 1.0)],
+    }
+    EMPTY_JSON = {"aggregates": {}, "excluded": [], "k": 2, "rows": []}
+
+    @pytest.mark.parametrize("run, flags, text, report", [
+        ("empty.txt", ["--targets", "targets.json"], "query  nDCG@2\n",
+         EMPTY_JSON),
+        ("run-a.txt", [], EXCLUDED_TEXT, EXCLUDED_JSON),
+        ("run-b.txt", ["--run-b", "run-a.txt"], UNPAIRED_TEXT, UNPAIRED_JSON),
+    ], ids=["empty-run", "excluded-query", "run-b-shares-one-query"])
+    def test_report_bytes(self, tmp_path, capsys, run, flags, text, report):
+        files = {
+            "corpus.jsonl": "".join(
+                json.dumps({"id": doc_id, "text": "x",
+                            "groups": {"gender": [group]}}) + "\n"
+                for doc_id, group in (("m1", "male"), ("m2", "male"),
+                                      ("f1", "female"), ("f2", "female"))),
+            "schema.json": '{"gender": ["male", "female", "Unknown"]}',
+            "qrels.txt": "q1 0 m1 1\nq1 0 f1 1\nq2 0 m1 1\nq2 0 f1 1\n",
+            "targets.json": '{"q1": {"gender": {"male": 0.5, "female": 0.5}}}',
+            **self.RUNS,
+        }
+        for name, content in files.items():
+            (tmp_path / name).write_text(content)
+        out = tmp_path / "out"
+        assert main(["eval", str(tmp_path / run),
+                     *[str(tmp_path / f) if "." in f else f for f in flags],
+                     "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--schema", str(tmp_path / "schema.json"),
+                     "--qrels", str(tmp_path / "qrels.txt"),
+                     "--k", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == text
+        stem = run[:-len(".txt")]
+        assert (out / f"report-{stem}.txt").read_bytes() == text.encode()
+        assert (out / f"report-{stem}.json").read_bytes() == json.dumps(
+            report, indent=2, sort_keys=True).encode()
 
 
 class TestStartup:

@@ -10,6 +10,7 @@ from fairqr.corpus import (
     GroupSchema,
     corpus_digest,
     ingest_corpus,
+    load_corpus,
     read_jsonl,
     tokenize,
     tokenize_many,
@@ -109,6 +110,24 @@ class TestReadJsonl:
     def test_padded_line_accepted(self, tmp_path):
         assert self.read(tmp_path, f"  \t{self.RECORD} \u00a0 \n") == [
             {"id": "a", "text": "x"}]
+
+
+class TestLoadCorpus:
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "d1", "text": "y"}', "line 4: duplicate document id 'd1'"),
+        ('{"id": "d2"}', "line 4: missing or invalid 'text'"),
+        ("5", "line 4: record is not an object"),
+        ('{"id": "d2", "text": }', "line 4: invalid JSON: "),
+    ], ids=["duplicate-id", "no-text", "not-an-object", "invalid-json"])
+    def test_record_error_names_its_file_line(self, tmp_path, line, message):
+        # the record at fault is the second, on line 4 after two blank lines
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(f'{{"id": "d1", "text": "x"}}\n\n  \n{line}\n')
+        schema = tmp_path / "schema.json"
+        schema.write_text('{"gender": ["male", "female", "Unknown"]}')
+        with pytest.raises(IngestionError) as info:
+            load_corpus(corpus, schema)
+        assert str(info.value).startswith(message)
 
 
 class TestSchema:

@@ -177,8 +177,8 @@ class TestEvaluateRun:
         )
         row = report.rows[0]
         assert row.ndcg == 1.0
-        assert row.awrf["gender"] == pytest.approx(1.0)
-        assert row.product["gender"] == pytest.approx(1.0)
+        assert row.awrf == pytest.approx(1.0)
+        assert row.product == pytest.approx(1.0)
 
     def test_empty_run(self):
         store, qrels, _, targets = three_query_fixture()

@@ -1,5 +1,5 @@
-"""numpy is the only runtime dependency, scipy and requests stay out, and
-every error class is in use."""
+"""numpy is the only runtime dependency, scipy and requests stay out, every
+error class is in use, and every module uses what it imports."""
 import ast
 import sys
 from pathlib import Path
@@ -28,6 +28,30 @@ def imported_roots(path: Path) -> set[str]:
                          ids=lambda path: path.name)
 def test_imports_are_stdlib_or_numpy(path):
     assert imported_roots(path) - ALLOWED == set()
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names the file imports but never reads: not as a name, nor as the
+    root of an attribute chain. `from __future__` imports bind no name."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return imported - used
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
+    ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    # __init__.py imports to re-export, so it is left out
+    assert unused_imports(path) == set()
 
 
 def test_pyproject_declares_numpy_only():
