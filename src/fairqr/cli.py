@@ -16,7 +16,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import synthetic
 from .corpus import corpus_digest, load_corpus, open_utf8, tokenize
-from .errors import FairQRError, IndexBuildError, SchemaError, UsageError
+from .errors import (
+    FairQRError,
+    IndexBuildError,
+    LineError,
+    SchemaError,
+    UsageError,
+)
 from .evaluation import (
     compare_runs,
     evaluate_run,
@@ -127,6 +133,16 @@ def _require(config: dict, *names: str) -> None:
         raise UsageError(f"missing required config fields: {missing}")
 
 
+def _read(path, parse, *args):
+    """parse(path, *args), with a LineError named at its file: `<path> line
+    N: ...`, or `<path>: ...` when no line is known."""
+    try:
+        return parse(path, *args)
+    except LineError as exc:
+        where = f"{path} " if str(exc) != exc.detail else f"{path}: "
+        raise FairQRError(f"{where}{exc}") from None
+
+
 def _load_queries(path) -> list[tuple[str, str]]:
     """Queries file: TSV lines `query_id<TAB>query text`; blank lines skipped.
 
@@ -155,7 +171,7 @@ def _load_queries(path) -> list[tuple[str, str]]:
 
 def _load_store_and_index(config):
     _require(config, "corpus", "schema")
-    store = load_corpus(config["corpus"], config["schema"])
+    store = _read(config["corpus"], load_corpus, config["schema"])
     path = config.get("index_file")
     if not (path and os.path.exists(path)):
         return store, build_index(store)
@@ -275,7 +291,7 @@ def cmd_gen(args) -> int:
 def cmd_index(args) -> int:
     config = _merge_config(args)
     _require(config, "corpus", "schema", "index_file")
-    store = load_corpus(config["corpus"], config["schema"])
+    store = _read(config["corpus"], load_corpus, config["schema"])
     index = build_index(store)
     save_index(index, config["index_file"])
     print(f"N={index.n_documents} avgdl={index.avgdl:.4f} "
@@ -290,7 +306,8 @@ def cmd_run(args) -> int:
     _check_run_options(config)
     store, index = _load_store_and_index(config)
     queries = _load_queries(config["queries"])
-    qrels = parse_qrels(config["qrels"]) if config.get("qrels") else Qrels()
+    qrels = (_read(config["qrels"], parse_qrels) if config.get("qrels")
+             else Qrels())
     pool, k = config["pool_size"], config["k"]
     fair_modes = mode in ("fairqr", "fairqr-norerank")
     if fair_modes:
@@ -354,16 +371,22 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     config = _merge_config(args)
     _require(config, "qrels", "corpus", "schema")
-    store = load_corpus(config["corpus"], config["schema"])
-    qrels = parse_qrels(config["qrels"])
-    run_a = parse_run(args.run)
+    store = _read(config["corpus"], load_corpus, config["schema"])
+    qrels = _read(config["qrels"], parse_qrels)
+    run_a = _read(args.run, parse_run)
     targets = _targets_for(config, store, qrels, sorted(run_a))
     k = config["k"]
     report = evaluate_run(run_a, qrels, targets, store, k)
     if args.run_b:
-        run_b = parse_run(args.run_b)
+        run_b = _read(args.run_b, parse_run)
         report_b = evaluate_run(run_b, qrels, targets, store, k)
         report.significance = compare_runs(report, report_b, args.run_b)
+        if report.significance is None:
+            shared = len({r.query_id for r in report.rows}
+                         & {r.query_id for r in report_b.rows})
+            print(f"note: the runs share {shared} scored "
+                  f"{'query' if shared == 1 else 'queries'}; no t-test was "
+                  f"run (it needs 2)", file=sys.stderr)
     text = report_to_text(report)
     if config.get("out"):
         os.makedirs(config["out"], exist_ok=True)

@@ -57,18 +57,27 @@ class ScoredDoc:
     rank: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RankedList:
     """Ordered retrieval result for one query; ranks contiguous from 1.
 
-    Held as the doc ids and a parallel array of their scores rather than one
-    object per entry: a run keeps every query's lists, and a ScoredDoc with
-    its boxed score costs several times the id reference and the double.
+    Held as each entry's position in `source`, a sorted tuple of doc ids,
+    and a parallel array of their scores rather than one object per entry:
+    a run keeps every query's lists, and a ScoredDoc with its boxed score
+    costs several times the int and the double. A list an index made has
+    that index's `doc_ids` as `source`, so the re-rankers read its positions
+    as they are; a list from `make_ranked_list` has its own ids. `ids` is
+    derived, and `==` compares the query id, ids and scores.
     """
 
     query_id: str
-    ids: tuple[str, ...]
+    positions: array  # of C ints, indexing `source`
+    source: tuple[str, ...]
     scores: array  # of doubles
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(map(self.source.__getitem__, self.positions))
 
     @property
     def entries(self) -> tuple[ScoredDoc, ...]:
@@ -83,16 +92,33 @@ class RankedList:
 
     def top(self, k: int) -> RankedList:
         """The first k entries, as a list of their own."""
-        return RankedList(self.query_id, self.ids[:k], self.scores[:k])
+        return RankedList(self.query_id, self.positions[:k], self.source,
+                          self.scores[:k])
+
+    def __eq__(self, other):
+        if not isinstance(other, RankedList):
+            return NotImplemented
+        return ((self.query_id, self.ids, self.scores)
+                == (other.query_id, other.ids, other.scores))
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.positions)
 
 
 def make_ranked_list(query_id: str, scored: list[tuple[str, float]]) -> RankedList:
-    """Build a RankedList from (doc_id, score) pairs already in rank order."""
-    return RankedList(query_id, tuple(doc_id for doc_id, _ in scored),
+    """Build a RankedList from (doc_id, score) pairs already in rank order;
+    its `source` is its own ids."""
+    ids = tuple(doc_id for doc_id, _ in scored)
+    return RankedList(query_id, array("i", range(len(ids))), ids,
                       array("d", [score for _, score in scored]))
+
+
+def _ranked_at(index: InvertedIndex, query_id: str, at: np.ndarray,
+               scores: np.ndarray) -> RankedList:
+    """The documents at the index's positions `at`, in that order, with
+    their scores."""
+    return RankedList(query_id, array("i", at.astype(np.intc).tobytes()),
+                      index.doc_ids, array("d", scores.tobytes()))
 
 
 @dataclass(eq=False)
@@ -193,6 +219,15 @@ class InvertedIndex:
             if i == len(ids) or ids[i] != doc_id:
                 raise CorpusLookupError(f"document {doc_id!r} not in index")
         return np.array(at, np.int64)
+
+    def positions_of(self, ranked: RankedList) -> np.ndarray:
+        """The positions of a ranked list's documents in `doc_ids`, in rank
+        order: the list's own when this index made it (a view; do not
+        write to it), else looked up by id, for a hand-made list, a run
+        file's or another index's."""
+        if ranked.source is self.doc_ids:
+            return np.frombuffer(ranked.positions, np.intc)
+        return self.doc_positions(ranked.ids)
 
     def _query_terms(self, query_tokens: list[str]):
         """(term id, ascending positions, gains) of each distinct query term
@@ -337,15 +372,14 @@ def retrieve(
         raise EmptyQueryError(f"query {query!r} tokenized to nothing")
     hits = index._query_terms(tokens)
     if not hits:
-        return RankedList(query_id, (), array("d"))
+        return make_ranked_list(query_id, [])
     pos, scores = _top_candidates(index, hits, pool_size)
     if len(scores) > pool_size:  # keep every document tied at the cut
         cut = len(scores) - pool_size
         keep = scores >= np.partition(scores, cut)[cut]
         pos, scores = pos[keep], scores[keep]
     order = np.lexsort((pos, -scores))[:pool_size]
-    doc_ids = tuple(index.doc_ids[i] for i in pos[order].tolist())
-    return RankedList(query_id, doc_ids, array("d", scores[order].tobytes()))
+    return _ranked_at(index, query_id, pos[order], scores[order])
 
 
 def save_index(index: InvertedIndex, path) -> None:

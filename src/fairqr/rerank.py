@@ -1,4 +1,9 @@
-"""Relevance-preserving re-ranking and the MMR diversification baseline."""
+"""Relevance-preserving re-ranking and the MMR diversification baseline.
+
+Both re-rankers work on the index positions of a list's documents
+(`InvertedIndex.positions_of`): the positions ascend with the doc ids, so a
+tie broken by position is broken by doc id.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -8,8 +13,8 @@ from .errors import UsageError
 from .index import (
     InvertedIndex,
     RankedList,
+    _ranked_at,
     _scores,
-    bm25_scores,
     make_ranked_list,
 )
 
@@ -20,29 +25,36 @@ def semantic_rerank(
 ) -> RankedList:
     """Reorder a retrieved set by BM25 against the original query.
 
-    Output is a permutation of the input set; ties break by doc_id. An empty
-    set yields an empty list.
+    Output is a permutation of the input set, ordered by descending score
+    with ties broken by doc_id, as one lexsort of the scores and positions.
+    An empty set yields an empty list.
     """
-    scores = bm25_scores(index, tokenize(original_query), candidates.ids)
-    scored = sorted(zip(candidates.ids, scores), key=lambda kv: (-kv[1], kv[0]))
-    return make_ranked_list(query_id, scored)
+    at = index.positions_of(candidates)
+    scores = _scores(index._query_terms(tokenize(original_query)), at)
+    order = np.lexsort((at, -scores))
+    return _ranked_at(index, query_id, at[order], scores[order])
 
 
 def _jaccard_matrix(index: InvertedIndex, at: np.ndarray) -> np.ndarray:
     """Term-set Jaccard of every pair of the documents at index positions
     `at`; 1.0 for two empty documents.
 
-    The term sets are slices of the index's document-major view. The 0/1
-    term counts are exact in float64, so quotients round as int / int.
+    The term sets are slices of the index's document-major view. The terms
+    that occur are marked over the vocabulary, and a cumulative sum of the
+    marks numbers them as the columns of a 0/1 matrix. Its counts are exact
+    in float64, so quotients round as int / int.
     """
     indptr, terms = index.doc_terms
     starts = indptr[at]
     counts = indptr[at + 1] - starts
     ends = np.cumsum(counts)  # each document's slice, laid end to end
-    slots =np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-    vocab, cols = np.unique(terms[slots], return_inverse=True)
-    matrix = np.zeros((len(at), len(vocab)))
-    matrix[np.repeat(np.arange(len(at)), counts), cols] = 1.0
+    slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    pool_terms = terms[slots]
+    marks = np.zeros(len(index.vocabulary) + 1, bool)  # the last stays False
+    marks[pool_terms] = True
+    column = np.cumsum(marks)  # column[t] - 1 is term t's column
+    matrix = np.zeros((len(at), column[-1]))
+    matrix[np.repeat(np.arange(len(at)), counts), column[pool_terms] - 1] = 1.0
     inter = matrix @ matrix.T
     size = inter.diagonal()
     union = size[:, None] + size[None, :] - inter
@@ -65,32 +77,30 @@ def mmr_rerank(
     break by doc_id; the first pick is the most relevant document. The term
     sets are the index's (`InvertedIndex.doc_terms`), the same as tokenising
     the texts; `store` is not read.
+
+    The penalty lam * rel(d) - (1 - lam) * sim(s, d) of every pair is made
+    once. It falls as sim rises, rounding included, so a candidate's marginal
+    score is the minimum of its penalties from the selected documents, and
+    each pick lowers the scores to the pick's row.
     """
     if not (0.0 <= lam <= 1.0):
         raise UsageError("lambda must be in [0, 1]")
     if k < 1:
         raise UsageError("k must be >= 1")
-    pool = sorted(candidates.ids)
-    if not pool:
+    at = np.sort(index.positions_of(candidates))  # doc_id order
+    if not len(at):
         return make_ranked_list(candidates.query_id, [])
-    at = index.doc_positions(pool)
     raw = _scores(index._query_terms(tokenize(original_query)), at)
     lo, hi = raw.min(), raw.max()
-    rel = (raw - lo) / (hi - lo) if hi > lo else np.ones(len(pool))
-    sim = _jaccard_matrix(index, at)
-
-    selected: list[tuple[str, float]] = []
-    lam_rel = lam * rel
-    taken = np.zeros(len(pool), dtype=bool)
-    max_sim = np.zeros(len(pool))
+    rel = (raw - lo) / (hi - lo) if hi > lo else np.ones(len(at))
+    penalty = lam * rel - (1.0 - lam) * _jaccard_matrix(index, at)
+    n = min(k, len(at))
+    picks, picked = np.empty(n, np.intp), np.empty(n)
     score = rel.copy()  # the first pick's
-    for _ in range(min(k, len(pool))):
-        # argmax takes the first maximum: pool is in doc_id order
-        best = int(np.argmax(score))
-        selected.append((pool[best], float(score[best])))
-        taken[best] = True
-        np.maximum(max_sim, sim[best], out=max_sim)
-        np.multiply(1.0 - lam, max_sim, out=score)
-        np.subtract(lam_rel, score, out=score)
-        score[taken] = -np.inf
-    return make_ranked_list(candidates.query_id, selected)
+    for step in range(n):
+        # argmax takes the first maximum: the pool is in doc_id order
+        best = int(score.argmax())
+        picks[step], picked[step] = best, score[best]
+        np.minimum(score, penalty[best], out=score)
+        score[best] = -np.inf
+    return _ranked_at(index, candidates.query_id, at[picks], picked)

@@ -340,7 +340,7 @@ class TestStaleInputs:
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: line 2:")
+        assert err.startswith(f"data error: {corpus} line 2:")
         assert "'gender'" in err and "'d2'" in err
 
     @pytest.mark.parametrize("masses", [
@@ -495,6 +495,25 @@ class TestEvalCmd:
         assert f"document {doc_id!r} listed twice for query {query_id!r}" in err
         assert not (tmp_path / "report-dup.json").exists()
 
+    @pytest.mark.parametrize("bad, line, where", [
+        ("qrels", "q1 0 d1 x", " line 2: non-integer grade 'x'"),
+        ("run", "q1 Q0 d1 one 1.0 t", " line 2: bad rank/score 'one'/'1.0'"),
+        ("run", "q1 Q0 d2 3 1.0 t", ": ranks for query 'q1' not contiguous"),
+    ], ids=["qrels-line", "run-line", "run-no-line"])
+    def test_bad_qrels_or_run_is_named_at_its_file(
+            self, workspace, tmp_path, capsys, bad, line, where):
+        data = workspace["data"]
+        files = {"qrels": tmp_path / "qrels.txt", "run": tmp_path / "run.txt"}
+        files["qrels"].write_text("q1 0 d1 1\n")
+        files["run"].write_text("q1 Q0 d1 1 1.0 t\n")
+        files[bad].write_text(f"{files[bad].read_text()}{line}\n")
+        assert main(["eval", str(files["run"]),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--schema", str(data / "schema.json"),
+                     "--qrels", str(files["qrels"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {files[bad]}{where}")
+
 
 def _row(query_id, ndcg, awrf, product):
     return {"awrf": {"gender": awrf}, "ndcg": ndcg,
@@ -540,13 +559,18 @@ class TestReportBytes:
     }
     EMPTY_JSON = {"aggregates": {}, "excluded": [], "k": 2, "rows": []}
 
-    @pytest.mark.parametrize("run, flags, text, report", [
+    UNPAIRED_NOTE = ("note: the runs share 1 scored query; no t-test was "
+                     "run (it needs 2)\n")
+
+    @pytest.mark.parametrize("run, flags, text, report, note", [
         ("empty.txt", ["--targets", "targets.json"], "query  nDCG@2\n",
-         EMPTY_JSON),
-        ("run-a.txt", [], EXCLUDED_TEXT, EXCLUDED_JSON),
-        ("run-b.txt", ["--run-b", "run-a.txt"], UNPAIRED_TEXT, UNPAIRED_JSON),
+         EMPTY_JSON, ""),
+        ("run-a.txt", [], EXCLUDED_TEXT, EXCLUDED_JSON, ""),
+        ("run-b.txt", ["--run-b", "run-a.txt"], UNPAIRED_TEXT, UNPAIRED_JSON,
+         UNPAIRED_NOTE),
     ], ids=["empty-run", "excluded-query", "run-b-shares-one-query"])
-    def test_report_bytes(self, tmp_path, capsys, run, flags, text, report):
+    def test_report_bytes(self, tmp_path, capsys, run, flags, text, report,
+                          note):
         files = {
             "corpus.jsonl": "".join(
                 json.dumps({"id": doc_id, "text": "x",
@@ -567,7 +591,7 @@ class TestReportBytes:
                      "--schema", str(tmp_path / "schema.json"),
                      "--qrels", str(tmp_path / "qrels.txt"),
                      "--k", "2", "--out", str(out)]) == 0
-        assert capsys.readouterr().out == text
+        assert capsys.readouterr() == (text, note)
         stem = run[:-len(".txt")]
         assert (out / f"report-{stem}.txt").read_bytes() == text.encode()
         assert (out / f"report-{stem}.json").read_bytes() == json.dumps(

@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -7,7 +9,16 @@ from hypothesis import strategies as st
 
 from bm25_reference import reference_score
 from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
-from fairqr.index import build_index, make_ranked_list, retrieve
+from fairqr.fairness import target_from_qrels
+from fairqr.index import (
+    InvertedIndex,
+    build_index,
+    load_index,
+    make_ranked_list,
+    retrieve,
+    save_index,
+)
+from fairqr.refine import LexiconRefiner, RefinerConfig, fair_qr
 from fairqr.rerank import mmr_rerank, semantic_rerank
 from mmr_reference import exhaustive_mmr, jaccard
 
@@ -184,3 +195,75 @@ class TestMMR:
                     assert [f.result(timeout=60) for f in futures] == expected
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestIndexPositions:
+    """A list an index made carries that index's positions; any other list
+    is looked up by id, and both re-rank alike."""
+
+    QUERY = "topic00 markerfemale"
+
+    def test_lists_of_either_path_rerank_alike(self, synth, tmp_path):
+        store, index = synth["store"], synth["index"]
+        ranked = retrieve(index, self.QUERY, 40, "q00")
+        rebuilt = make_ranked_list("q00", list(zip(ranked.ids, ranked.scores)))
+        save_index(index, tmp_path / "index.npz")
+        other = retrieve(load_index(tmp_path / "index.npz"), self.QUERY, 40,
+                         "q00")
+        assert len(ranked) == 40 and ranked.source is index.doc_ids
+        want_semantic = semantic_rerank(ranked, "topic00", index, "q00")
+        want_mmr = mmr_rerank(ranked, "topic00", store, index, 0.5, 20)
+        for candidates in (rebuilt, other):
+            assert candidates == ranked
+            assert candidates.source is not index.doc_ids
+            assert (index.positions_of(candidates).tolist()
+                    == index.positions_of(ranked).tolist())
+            assert semantic_rerank(candidates, "topic00", index,
+                                   "q00") == want_semantic
+            assert mmr_rerank(candidates, "topic00", store, index, 0.5,
+                              20) == want_mmr
+
+    def test_index_made_lists_are_not_looked_up_by_id(self, synth,
+                                                      monkeypatch):
+        store, index = synth["store"], synth["index"]
+
+        def refuse(self, doc_ids):
+            raise AssertionError("looked up by id")
+
+        monkeypatch.setattr(InvertedIndex, "doc_positions", refuse)
+        pool = retrieve(index, self.QUERY, 60, "q00")
+        assert len(mmr_rerank(pool, "topic00", store, index, 0.5, 20)) == 20
+        target = target_from_qrels(synth["qrels"], store, "q00", "gender")
+        config = RefinerConfig(category="gender", pool_size=20, k=20)
+        fair_set, trace = fair_qr(index, store, "topic00", target, config,
+                                  LexiconRefiner(synth["lexicon"]), "q00")
+        assert not trace.error
+        out = semantic_rerank(fair_set.top(20), "topic00", index, "q00")
+        assert sorted(out.ids) == sorted(fair_set.ids)
+
+    def test_kept_mmr_output_holds_positions_not_ids(self, synth):
+        # A caller may keep every MMR output: a 100-deep pool and its top 20.
+        # With tuples of ids the pair held about 2.5 KB, with index
+        # positions 2.2 KB. Collecting empties the free lists, so only live
+        # objects are counted.
+        store, index = synth["store"], synth["index"]
+        query = "markerfemale markermale"
+
+        def run():
+            pool = retrieve(index, query, 100, "q")
+            return pool, mmr_rerank(pool, query, store, index, 0.5, 20)
+
+        run()
+        kept = []
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                kept.append(run())
+            gc.collect()
+            per_output = (tracemalloc.get_traced_memory()[0] - before) / 100
+        finally:
+            tracemalloc.stop()
+        assert [len(ranked) for ranked in kept[0]] == [100, 20]
+        assert per_output < 2400
