@@ -27,7 +27,7 @@ def ndcg_at_k(ranked: RankedList, qrels: Qrels, query_id: str, k: int) -> float:
         return 0.0
     dcg = sum(
         judged.get(doc_id, 0) / math.log2(rank + 1)
-        for rank, doc_id in enumerate(ranked.ids[:k], start=1)
+        for rank, doc_id in enumerate(ranked.top_ids(k), start=1)
     )
     return dcg / idcg
 

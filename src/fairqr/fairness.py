@@ -58,7 +58,7 @@ def exposure(
     """
     if k < 1:
         raise UsageError("k must be >= 1")
-    top = ranked.ids[:k]
+    top = ranked.top_ids(k)
     if not top:
         raise DegenerateExposureError(
             f"empty ranked list for query {ranked.query_id!r}"

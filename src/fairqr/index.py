@@ -79,6 +79,10 @@ class RankedList:
     def ids(self) -> tuple[str, ...]:
         return tuple(map(self.source.__getitem__, self.positions))
 
+    def top_ids(self, k: int) -> tuple[str, ...]:
+        """The ids of the first k entries; only those are looked up."""
+        return tuple(map(self.source.__getitem__, self.positions[:k]))
+
     @property
     def entries(self) -> tuple[ScoredDoc, ...]:
         return tuple(

@@ -35,14 +35,20 @@ def semantic_rerank(
     return _ranked_at(index, query_id, at[order], scores[order])
 
 
-def _jaccard_matrix(index: InvertedIndex, at: np.ndarray) -> np.ndarray:
-    """Term-set Jaccard of every pair of the documents at index positions
-    `at`; 1.0 for two empty documents.
+def _penalties(index: InvertedIndex, at: np.ndarray, rel: np.ndarray,
+               lam: float) -> np.ndarray:
+    """lam * rel[j] - (1 - lam) * sim(i, j) for every pair of the documents
+    at index positions `at`, where sim is term-set Jaccard, 1.0 for two
+    empty documents.
 
-    The term sets are slices of the index's document-major view. The terms
-    that occur are marked over the vocabulary, and a cumulative sum of the
-    marks numbers them as the columns of a 0/1 matrix. Its counts are exact
-    in float64, so quotients round as int / int.
+    The term sets are slices of the index's document-major view, so each
+    set size is its slice's length. Only a term that two or more of the
+    documents hold can be in an intersection, so those shared terms alone
+    are the columns of a 0/1 matrix B, and B @ B.T gives the intersections
+    off the diagonal; the diagonal is set to the sizes. The counts are exact
+    in float64, so quotients round as int / int. The union, quotient and
+    both scalings are made in the intersection buffer, each operation with
+    the operands and order of the pairwise formula.
     """
     indptr, terms = index.doc_terms
     starts = indptr[at]
@@ -50,15 +56,23 @@ def _jaccard_matrix(index: InvertedIndex, at: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)  # each document's slice, laid end to end
     slots = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
     pool_terms = terms[slots]
-    marks = np.zeros(len(index.vocabulary) + 1, bool)  # the last stays False
-    marks[pool_terms] = True
-    column = np.cumsum(marks)  # column[t] - 1 is term t's column
-    matrix = np.zeros((len(at), column[-1]))
-    matrix[np.repeat(np.arange(len(at)), counts), column[pool_terms] - 1] = 1.0
+    held = np.bincount(pool_terms)  # how many of the documents hold each
+    shared = np.flatnonzero(held > 1)
+    rows = np.repeat(np.arange(len(at)), counts)
+    kept = held[pool_terms] > 1
+    matrix = np.zeros((len(at), len(shared)))
+    matrix[rows[kept], np.searchsorted(shared, pool_terms[kept])] = 1.0
+    size = counts.astype(float)
     inter = matrix @ matrix.T
-    size = inter.diagonal()
-    union = size[:, None] + size[None, :] - inter
-    return np.divide(inter, union, out=np.ones_like(inter), where=union > 0)
+    np.fill_diagonal(inter, size)
+    union = np.add.outer(size, size)
+    union -= inter
+    if not size.all():  # two empty documents: 1.0, as 1 / 1
+        empty = np.ix_(size == 0, size == 0)
+        inter[empty] = union[empty] = 1.0
+    inter /= union
+    inter *= 1.0 - lam
+    return np.subtract(lam * rel, inter, out=inter)
 
 
 def mmr_rerank(
@@ -79,7 +93,8 @@ def mmr_rerank(
     the texts; `store` is not read.
 
     The penalty lam * rel(d) - (1 - lam) * sim(s, d) of every pair is made
-    once. It falls as sim rises, rounding included, so a candidate's marginal
+    once, by `_penalties`, from the terms two or more pool documents share.
+    It falls as sim rises, rounding included, so a candidate's marginal
     score is the minimum of its penalties from the selected documents, and
     each pick lowers the scores to the pick's row.
     """
@@ -93,7 +108,7 @@ def mmr_rerank(
     raw = _scores(index._query_terms(tokenize(original_query)), at)
     lo, hi = raw.min(), raw.max()
     rel = (raw - lo) / (hi - lo) if hi > lo else np.ones(len(at))
-    penalty = lam * rel - (1.0 - lam) * _jaccard_matrix(index, at)
+    penalty = _penalties(index, at, rel, lam)
     n = min(k, len(at))
     picks, picked = np.empty(n, np.intp), np.empty(n)
     score = rel.copy()  # the first pick's

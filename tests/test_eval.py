@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -16,8 +17,13 @@ from fairqr.evaluation import (
     report_to_dict,
     report_to_text,
 )
-from fairqr.fairness import ExposureDistribution, FairnessTarget, awrf
-from fairqr.index import make_ranked_list
+from fairqr.fairness import (
+    ExposureDistribution,
+    FairnessTarget,
+    awrf,
+    exposure,
+)
+from fairqr.index import RankedList, make_ranked_list
 from fairqr.trec import Qrels, parse_qrels, parse_run, write_qrels, write_run
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
@@ -67,6 +73,34 @@ class TestNdcg:
         a = make_ranked_list("q1", [("d2", 10.0), ("d1", 5.0)])
         b = make_ranked_list("q1", [("d2", 1000.0), ("d1", 500.5)])
         assert ndcg_at_k(a, qrels, "q1", 2) == ndcg_at_k(b, qrels, "q1", 2)
+
+
+class CountingIds(tuple):
+    """A RankedList source that counts the ids looked up in it."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("measure", ["exposure", "ndcg"])
+def test_top_k_measures_look_up_only_k_ids(measure):
+    ids = CountingIds(f"d{i:03d}" for i in range(100))
+    ranked = RankedList("q1", array("i", range(100)), ids,
+                        array("d", [1.0] * 100))
+    if measure == "exposure":
+        store = ingest_corpus(
+            [{"id": d, "text": "x", "groups": {"gender": ["male"]}}
+             for d in ids], [GENDER])
+        dist = exposure(ranked, store, "gender", 20)
+        assert dist.probabilities[0] == pytest.approx(1.0)
+    else:
+        qrels = Qrels()
+        qrels.add("q1", "d000", 1)
+        assert ndcg_at_k(ranked, qrels, "q1", 20) == 1.0
+    assert ids.lookups == 20
 
 
 class TestComposite:

@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency, scipy and requests stay out, every
-error class is in use, and every module uses what it imports."""
+error class is in use, every module uses what it imports, and every private
+module-level name is read."""
 import ast
 import sys
 from pathlib import Path
@@ -105,3 +106,43 @@ def test_every_error_class_is_raised_or_caught():
             live.add(base)
             pending.append(base)
     assert set(bases) - live == set()
+
+
+def private_definitions(path: Path) -> set[str]:
+    """The private names a module defines at its top level: functions,
+    classes and assigned constants; dunders are left out."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return {n for n in names
+            if n.startswith("_") and not (n.startswith("__")
+                                          and n.endswith("__"))}
+
+
+def names_read() -> set[str]:
+    """Every name the package reads: as a name or as an attribute."""
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_every_private_name_is_read():
+    defined = {(path.name, name) for path in PACKAGE.glob("*.py")
+               for name in private_definitions(path)}
+    read = names_read()
+    assert {(module, name) for module, name in defined
+            if name not in read} == set()

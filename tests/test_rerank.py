@@ -135,6 +135,33 @@ class TestMMR:
                                   0.5, 4)
         assert list(zip(out.ids, out.scores)) == expected
 
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
+    def test_matches_exhaustive_at_benchmark_shape(self, synth, lam):
+        # the benchmark's pool of 100 and k of 20
+        store, index = synth["store"], synth["index"]
+        query = "topic02 markerfemale markermale"
+        candidates = retrieve(index, query, 100, "q02")
+        assert len(candidates) == 100
+        out = mmr_rerank(candidates, query, store, index, lam, 20)
+        expected = exhaustive_mmr(candidates.doc_ids(), query, store, lam, 20)
+        assert list(zip(out.ids, out.scores)) == expected
+
+    @pytest.mark.parametrize("texts", [
+        ["a b", "c", "d e f", "g"],
+        ["a b c"],
+        ["", "!", "", "?"],
+        ["a b", "", "a c", "!", "b"],
+    ], ids=["no-shared-term", "single-document", "all-empty", "empty-mixed"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_degenerate_pools_match_exhaustive(self, texts, lam):
+        store = make_store({f"d{i}": t for i, t in enumerate(texts)})
+        pool = sorted(store.rows, reverse=True)
+        candidates = make_ranked_list("q", [(d, 0.0) for d in pool])
+        out = mmr_rerank(candidates, "a", store, build_index(store), lam,
+                         len(pool))
+        assert list(zip(out.ids, out.scores)) == exhaustive_mmr(
+            pool, "a", store, lam, len(pool))
+
     @settings(max_examples=150, deadline=None)
     @given(
         texts=st.lists(
