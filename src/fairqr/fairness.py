@@ -92,9 +92,13 @@ def _vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
 def kl_divergence(p, q, smoothing: float = KL_SMOOTHING) -> float:
     """KL(p || q) in nats after additive smoothing and renormalization."""
     p, q = _vectors(p, q)
-    ps = (p + smoothing) / (p + smoothing).sum()
-    qs = (q + smoothing) / (q + smoothing).sum()
-    return float(np.sum(ps * np.log(ps / qs)))
+    ps = p + smoothing  # new arrays: p and q may be the caller's
+    ps /= ps.sum()
+    qs = q + smoothing
+    qs /= qs.sum()
+    terms = np.log(ps / qs)
+    terms *= ps
+    return float(terms.sum())
 
 
 def js_divergence(p, q) -> float:

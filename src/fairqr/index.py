@@ -8,12 +8,19 @@ The index is columnar (CSR): term t's postings are rows indptr[t] to
 indptr[t + 1] of `positions` (documents, as positions in the sorted doc
 ids, ascending), `tf` and `gains` (each posting's BM25 gain), so a query's
 scores are sums of gain slices. The counts are the persisted form; the gains
-are made from them in one vectorised pass, on build and on load alike.
+are made from them a bounded chunk at a time, on build and on load alike.
 
 `retrieve` is MaxScore top-k evaluation (Turtle & Flood, 1995): it scores
 only the postings of the query terms with the largest gains, adding the
 next term's until no document outside them can reach the pool, so a common
 term's postings are looked up, not all read.
+
+A query term in at least an eighth of the documents is looked up directly:
+on first use the index derives the term's gain at every document position
+(0.0 where it is absent), a read-only vector of 8 bytes × documents that it
+keeps and never saves. The common terms' postings add up to at most all
+postings, so at most 8 × the mean distinct terms per document qualify. A
+rarer term is found in its postings by binary search.
 """
 from __future__ import annotations
 
@@ -48,6 +55,7 @@ B = 0.75
 INDEX_FORMAT = "fairqr-index"
 INDEX_VERSION = 3
 _ARRAYS = ("indptr", "positions", "tf")
+_CHUNK = 1 << 18  # postings: 4 MB of bincount's copies
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +142,9 @@ class InvertedIndex:
     `lengths` (each document's token count: its postings' tf summed),
     `avgdl`, `gains` and `max_gains` (each term's largest gain, 0.0 for a
     term without postings) are derived from the other fields, and
-    `doc_terms` from the postings on first use. Every array is read-only, so
-    concurrent retrieval is safe; `==` compares the persisted fields.
+    `doc_terms` and a common query term's dense gains (`_query_terms`) from
+    the postings on first use. Every array is read-only, so concurrent
+    retrieval is safe; `==` compares the persisted fields.
     """
 
     doc_ids: tuple[str, ...]
@@ -148,6 +157,8 @@ class InvertedIndex:
     avgdl: float = field(init=False)
     gains: np.ndarray = field(init=False, repr=False)
     max_gains: np.ndarray = field(init=False, repr=False)
+    _dense: dict[int, np.ndarray] = field(init=False, repr=False,
+                                          default_factory=dict)
 
     def __post_init__(self):
         """Every posting's gain, in the per-document formula's operand order
@@ -155,21 +166,34 @@ class InvertedIndex:
         so each is bit-identical to it. A posting's document has dl >= 1, so
         avgdl > 0 wherever it is read."""
         n = self.n_documents
-        # float64 sums of integer tf are exact below 2**53 tokens
-        self.lengths = np.bincount(self.positions, self.tf,
-                                   minlength=n).astype(np.int64)
+        # The postings are read a bounded chunk at a time, so no full-size
+        # temporary is made beside the gains: bincount copies its input as
+        # intp and float64. A chunk holds at least n postings, so adding up
+        # the chunks' counts costs less than counting them. float64 sums of
+        # integer tf are exact below 2**53 tokens.
+        chunk = max(n, _CHUNK)
+        chunks = [slice(at, at + chunk)
+                  for at in range(0, len(self.positions), chunk)]
+        lengths = np.zeros(n)
+        for part in chunks:
+            lengths += np.bincount(self.positions[part], self.tf[part],
+                                   minlength=n)
+        self.lengths = lengths.astype(np.int64)
+        del lengths
         self.avgdl = int(self.lengths.sum()) / n
         df = np.diff(self.indptr)
         idf = {d: log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in set(df.tolist())}
-        norm = (self.lengths * B)[self.positions]
-        norm /= self.avgdl
-        norm += 1.0 - B
-        norm *= K1
-        norm += self.tf
         gains = np.repeat(np.array([idf[d] for d in df.tolist()]), df)
         gains *= self.tf
         gains *= K1 + 1.0
-        gains /= norm
+        scaled = self.lengths * B
+        for part in chunks:
+            norm = scaled[self.positions[part]]
+            norm /= self.avgdl
+            norm += 1.0 - B
+            norm *= K1
+            norm += self.tf[part]
+            gains[part] /= norm
         self.gains = gains
         self.max_gains = np.zeros(len(df))
         nonempty = df > 0  # reduceat needs strictly rising starts
@@ -234,15 +258,32 @@ class InvertedIndex:
         return self.doc_positions(ranked.ids)
 
     def _query_terms(self, query_tokens: list[str]):
-        """(term id, ascending positions, gains) of each distinct query term
-        with postings, in query order."""
+        """(term id, ascending positions, gains, dense gains) of each
+        distinct query term with postings, in query order.
+
+        A common term, one in at least an eighth of the documents, has dense
+        gains: its gain at every document position, 0.0 where it is absent,
+        derived on first use and kept (8 bytes a document, at most 64 a
+        posting of the term); a rarer term has None.
+        """
         hits = []
+        n = self.n_documents
         for term in dict.fromkeys(query_tokens):
             t = self.vocabulary.get(term)
             if t is not None:
                 lo, hi = self.indptr[t], self.indptr[t + 1]
                 if lo < hi:
-                    hits.append((t, self.positions[lo:hi], self.gains[lo:hi]))
+                    positions, gains = self.positions[lo:hi], self.gains[lo:hi]
+                    dense = None
+                    if 8 * (hi - lo) >= n:
+                        dense = self._dense.get(t)
+                        if dense is None:
+                            dense = np.zeros(n)
+                            dense[positions] = gains
+                            dense.flags.writeable = False
+                            # racing threads derive equal vectors; one is kept
+                            dense = self._dense.setdefault(t, dense)
+                    hits.append((t, positions, gains, dense))
         return hits
 
 
@@ -312,12 +353,19 @@ def _scores(hits, positions: np.ndarray) -> np.ndarray:
     The only BM25 scoring: each document's gains from the query terms are
     summed in query order, starting from 0.0 (a term the document lacks
     adds 0.0), so a score does not depend on which documents are scored.
+    A term's gains are taken whole when `positions` is its postings array,
+    read from its dense gains when it has them, else found by binary search.
     """
     scores = np.zeros(len(positions))
-    for _, term_positions, gains in hits:
-        at = np.searchsorted(term_positions, positions)
-        np.minimum(at, len(term_positions) - 1, out=at)
-        scores += np.where(term_positions[at] == positions, gains[at], 0.0)
+    for _, term_positions, gains, dense in hits:
+        if term_positions is positions:  # the term's own postings
+            scores += gains
+        elif dense is not None:
+            scores += dense.take(positions)
+        else:
+            at = np.searchsorted(term_positions, positions)
+            np.minimum(at, len(term_positions) - 1, out=at)
+            scores += np.where(term_positions[at] == positions, gains[at], 0.0)
     return scores
 
 
@@ -335,16 +383,16 @@ def _top_candidates(
     tie at its cut.
     """
     if len(hits) == 1:
-        return hits[0][1:]
+        return hits[0][1:3]
     max_gains = index.max_gains
     by_gain = sorted(hits, key=lambda hit: -max_gains[hit[0]])
     positions = by_gain[0][1]
     for taken in range(1, len(hits)):
         scores = _scores(hits, positions)
         if len(positions) >= pool_size:
-            rest = {t for t, _, _ in by_gain[taken:]}
+            rest = {t for t, *_ in by_gain[taken:]}
             bound = 0.0
-            for t, _, _ in hits:  # in query order, as a score is summed
+            for t, *_ in hits:  # in query order, as a score is summed
                 if t in rest:
                     bound += float(max_gains[t])
             cut = len(positions) - pool_size

@@ -253,9 +253,9 @@ def fair_qr(
     Iteration 0 measures the original query; each later iteration asks the
     refiner for a new query and measures it. Returns the pool_size-deep
     retrieval of the best accepted query and the per-iteration trace. A
-    refiner or retrieval failure ends the loop with the best set so far and
-    is named in `trace.error`. A config of another category than the
-    target's raises UsageError.
+    refiner or retrieval failure ends the loop with the best set so far (an
+    empty list when iteration 0 fails) and is named in `trace.error`. A
+    config of another category than the target's raises UsageError.
     """
     if config.category != target.category:
         raise UsageError(f"config category {config.category!r} is not the "
@@ -264,7 +264,6 @@ def fair_qr(
     goal = target.target.probabilities
     trace = RefinementTrace(query_id=query_id, category=target.category,
                             terminal_reason="max-iterations")
-    best_ranked = make_ranked_list(query_id, [])
     for iteration in range(config.max_iterations + 1):
         subgroup, step = None, Refinement(query)
         try:
@@ -284,6 +283,8 @@ def fair_qr(
         except (RefinerError, EmptyQueryError, DegenerateExposureError) as exc:
             trace.error = f"{type(exc).__name__}: {exc}"
             trace.terminal_reason = "error"
+            if not iteration:  # nothing measured
+                best_ranked = make_ranked_list(query_id, [])
             break
         accepted = iteration == 0 or delta < best_delta
         trace.records.append(IterationRecord(

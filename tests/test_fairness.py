@@ -13,6 +13,7 @@ from fairqr.errors import (
     UsageError,
 )
 from fairqr.fairness import (
+    KL_SMOOTHING,
     ExposureDistribution,
     FairnessTarget,
     awrf,
@@ -165,6 +166,25 @@ class TestKL:
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
             kl_divergence([1.0], [0.5, 0.5])
+
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+               lambda n: st.tuples(*[st.lists(
+                   st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                   min_size=n, max_size=n)] * 2)),
+           st.sampled_from([KL_SMOOTHING, 1e-3, 0.5]))
+    def test_equals_the_unfused_formula_and_keeps_its_inputs(self, pq,
+                                                            smoothing):
+        # float64 arrays reach the arithmetic uncopied, so writing to them
+        # in place would change the caller's vectors
+        p, q = map(np.array, pq)
+        p_before, q_before = p.copy(), q.copy()
+        ps = (p + smoothing) / (p + smoothing).sum()
+        qs = (q + smoothing) / (q + smoothing).sum()
+        expected = float(np.sum(ps * np.log(ps / qs)))
+        assert kl_divergence(p, q, smoothing).hex() == expected.hex()
+        assert kl_divergence(*pq, smoothing).hex() == expected.hex()
+        assert p.tobytes() == p_before.tobytes()
+        assert q.tobytes() == q_before.tobytes()
 
     @given(simplex(4), simplex(4))
     def test_nonnegative(self, p, q):

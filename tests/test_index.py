@@ -14,6 +14,7 @@ from bm25_reference import (
     reference_ranking,
     reference_score,
 )
+from mmr_reference import exhaustive_mmr
 from fairqr import index as index_module
 from fairqr.corpus import GroupSchema, corpus_digest, ingest_corpus, tokenize
 from fairqr.errors import (
@@ -30,6 +31,7 @@ from fairqr.index import (
     retrieve,
     save_index,
 )
+from fairqr.rerank import mmr_rerank, semantic_rerank
 from fairqr.synthetic import SkewSpec, generate
 
 GENDER = GroupSchema("g", ("a", "Unknown"))
@@ -285,9 +287,15 @@ class TestRetrieve:
         assert retrieve(index, "topic00 markerfemale", 20) == ranked
 
     def test_concurrent_first_use_matches_sequential(self, synth):
+        # every thread's first query holds a marker, so threads race to
+        # derive the markers' dense gains on each new index
+        markers = ("markerfemale", "markermale")
         queries = [f"{q} {m}" for _, q in synth["queries"]
-                   for m in ("", "markerfemale", "markermale report")]
-        expected = [retrieve(build_index(synth["store"]), q, 30) for q in queries]
+                   for m in markers + ("", "markermale report")]
+        sequential = build_index(synth["store"])
+        expected = [retrieve(sequential, q, 30) for q in queries]
+        dense = {t: v.tobytes() for t, v in sequential._dense.items()}
+        assert {sequential.vocabulary[m] for m in markers} <= set(dense)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -297,6 +305,8 @@ class TestRetrieve:
                     futures = [pool.submit(retrieve, index, q, 30)
                                for q in queries]
                     assert [f.result(timeout=60) for f in futures] == expected
+                assert {t: v.tobytes()
+                        for t, v in index._dense.items()} == dense
         finally:
             sys.setswitchinterval(interval)
 
@@ -334,6 +344,69 @@ class TestRetrieve:
             tracemalloc.stop()
         assert len(kept[0]) == 20
         assert per_list < 1000
+
+
+def cut_store():
+    """40 documents, so a term in 5 or more is common: "below" is in 4,
+    "at" in 5, "above" in 6 and "every" in all, at tf 1 to 3; filler terms
+    spread the lengths and give documents terms in common."""
+    texts = {}
+    for i in range(40):
+        tokens = ["every"] * (1 + i % 3) + [f"f{i % 10}"] * (i % 4)
+        tokens += ["below"] * (i % 10 == 3) + ["at"] * (1 + i % 3) * (i % 8 == 0)
+        tokens += ["above"] * (i % 7 == 1)
+        texts[f"d{(i * 17) % 40:02d}"] = " ".join(tokens)
+    return make_store(texts)
+
+
+class TestDenseGains:
+    QUERIES = ["every", "at", "above", "below", "below at above every",
+               "above below f1", "every at", "f2 below", "nowhere every"]
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_rankers_match_the_references_around_the_cut(self, query):
+        store = cut_store()
+        index = build_index(store)
+        tokens = tokenize(query)
+        doc_ids = sorted(store.rows)
+        assert bm25_scores(index, tokens, doc_ids) == [
+            reference_score(store, tokens, d) for d in doc_ids]
+        for pool in (1, 3, 7, 40):
+            ranked = retrieve(index, query, pool)
+            assert [(e.doc_id, e.score) for e in ranked.entries] == (
+                reference_ranking(store, tokens, pool))
+        candidates = retrieve(index, "f0 f1 f2 f3 every", 40)
+        reranked = semantic_rerank(candidates, query, index)
+        assert [(e.doc_id, e.score) for e in reranked.entries] == sorted(
+            ((d, reference_score(store, tokens, d)) for d in doc_ids),
+            key=lambda pair: (-pair[1], pair[0]))
+        out = mmr_rerank(candidates.top(12), query, store, index, 0.5, 8)
+        assert list(zip(out.ids, out.scores)) == exhaustive_mmr(
+            list(candidates.top(12).ids), query, store, 0.5, 8)
+        # only the terms in at least an eighth of the documents have them
+        assert set(index._dense) <= {index.vocabulary[t]
+                                     for t in ("at", "above", "every")}
+
+    def test_derived_once_read_only_and_never_saved(self, tmp_path):
+        store = cut_store()
+        index = build_index(store)
+        first = index._query_terms(["every", "below", "at"])
+        again = index._query_terms(["at", "every"])
+        assert [hit[3] is None for hit in first] == [False, True, False]
+        assert again[0][3] is first[2][3] and again[1][3] is first[0][3]
+        for _, positions, gains, dense in first[::2]:
+            assert not dense.flags.writeable
+            expected = np.zeros(index.n_documents)
+            expected[positions] = gains
+            assert dense.tobytes() == expected.tobytes()
+        assert set(index._dense) == {index.vocabulary["every"],
+                                     index.vocabulary["at"]}
+        assert index == build_index(store)
+        save_index(index, tmp_path / "index.npz")
+        with np.load(tmp_path / "index.npz") as npz:
+            assert sorted(npz.files) == ["indptr", "meta", "positions", "tf"]
+        loaded = load_index(tmp_path / "index.npz")
+        assert loaded == index and loaded._dense == {}
 
 
 class TestDocTerms:

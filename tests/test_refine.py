@@ -399,6 +399,25 @@ class TestFairQRLoop:
         assert trace.terminal_reason == "error"
         assert ranked == retrieve(index, "solar power", 3, "q1")
 
+    @pytest.mark.parametrize("query, error", [
+        ("!!!", "EmptyQueryError: query '!!!' tokenized to nothing"),
+        ("zebra", "DegenerateExposureError: empty ranked list for query 'q1'"),
+    ], ids=["empty-query", "no-match"])
+    def test_failed_first_measurement_returns_an_empty_list(self, query,
+                                                             error):
+        store, index = small_collection()
+        config = RefinerConfig(category="gender", pool_size=3, k=3)
+
+        class Unused:
+            def refine(self, *args):
+                raise AssertionError("nothing was measured to refine")
+
+        ranked, trace = fair_qr(index, store, query, TARGET, config,
+                                Unused(), "q1")
+        assert (trace.terminal_reason, trace.error, trace.records) == (
+            "error", error, [])
+        assert ranked.query_id == "q1" and len(ranked) == 0
+
     def test_unparsable_reply_ends_the_loop_as_error(self):
         store, index = small_collection()
         config = RefinerConfig(category="gender", pool_size=3, k=3)
