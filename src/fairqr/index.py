@@ -1,4 +1,4 @@
-"""Inverted index and BM25 retrieval.
+"""Inverted index and BM25 retrieval: the package's only BM25 scoring.
 
 Lucene-style idf: ln(1 + (N - df + 0.5) / (df + 0.5)). Always positive, so
 any document containing at least one query term scores strictly above zero
@@ -9,11 +9,8 @@ indptr[t + 1] of `positions` (documents, as positions in the sorted doc
 ids, ascending), `tf` and `gains` (each posting's BM25 gain), so a query's
 scores are sums of gain slices. The counts are the persisted form; the gains
 are made from them a bounded chunk at a time, on build and on load alike.
-
-`retrieve` is MaxScore top-k evaluation (Turtle & Flood, 1995): it scores
-only the postings of the query terms with the largest gains, adding the
-next term's until no document outside them can reach the pool, so a common
-term's postings are looked up, not all read.
+`retrieve` ranks the whole index; `InvertedIndex.scores` scores given
+documents and `InvertedIndex.ranked` lists them, for the re-rankers.
 
 A query term in at least an eighth of the documents is looked up directly:
 on first use the index derives the term's gain at every document position
@@ -125,26 +122,17 @@ def make_ranked_list(query_id: str, scored: list[tuple[str, float]]) -> RankedLi
                       array("d", [score for _, score in scored]))
 
 
-def _ranked_at(index: InvertedIndex, query_id: str, at: np.ndarray,
-               scores: np.ndarray) -> RankedList:
-    """The documents at the index's positions `at`, in that order, with
-    their scores."""
-    return RankedList(query_id, array("i", at.astype(np.intc).tobytes()),
-                      index.doc_ids, array("d", scores.tobytes()))
-
-
 @dataclass(eq=False)
 class InvertedIndex:
     """CSR postings plus the document statistics BM25 needs.
 
-    `doc_ids` are sorted; a posting's position indexes them and `lengths`.
-    `digest` is `corpus_digest` of the corpus the index was built from.
-    `lengths` (each document's token count: its postings' tf summed),
-    `avgdl`, `gains` and `max_gains` (each term's largest gain, 0.0 for a
-    term without postings) are derived from the other fields, and
-    `doc_terms` and a common query term's dense gains (`_query_terms`) from
-    the postings on first use. Every array is read-only, so concurrent
-    retrieval is safe; `==` compares the persisted fields.
+    `doc_ids` are sorted; a posting's position indexes them. `digest` is
+    `corpus_digest` of the corpus the index was built from. `avgdl`, `gains`
+    and `max_gains` (each term's largest gain, 0.0 for a term without
+    postings) are derived from the other fields, and `doc_terms` and a
+    common query term's dense gains (`_query_terms`) from the postings on
+    first use. Every array is read-only, so concurrent retrieval is safe;
+    `==` compares the persisted fields.
     """
 
     doc_ids: tuple[str, ...]
@@ -153,7 +141,6 @@ class InvertedIndex:
     positions: np.ndarray
     tf: np.ndarray
     digest: str
-    lengths: np.ndarray = field(init=False, repr=False)
     avgdl: float = field(init=False)
     gains: np.ndarray = field(init=False, repr=False)
     max_gains: np.ndarray = field(init=False, repr=False)
@@ -163,8 +150,9 @@ class InvertedIndex:
     def __post_init__(self):
         """Every posting's gain, in the per-document formula's operand order
         (`idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / avgdl))`),
-        so each is bit-identical to it. A posting's document has dl >= 1, so
-        avgdl > 0 wherever it is read."""
+        so each is bit-identical to it. A document's length dl is its
+        postings' tf summed; it is not kept. A posting's document has
+        dl >= 1, so avgdl > 0 wherever it is read."""
         n = self.n_documents
         # The postings are read a bounded chunk at a time, so no full-size
         # temporary is made beside the gains: bincount copies its input as
@@ -178,17 +166,15 @@ class InvertedIndex:
         for part in chunks:
             lengths += np.bincount(self.positions[part], self.tf[part],
                                    minlength=n)
-        self.lengths = lengths.astype(np.int64)
-        del lengths
-        self.avgdl = int(self.lengths.sum()) / n
+        self.avgdl = float(lengths.sum()) / n
         df = np.diff(self.indptr)
         idf = {d: log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in set(df.tolist())}
         gains = np.repeat(np.array([idf[d] for d in df.tolist()]), df)
         gains *= self.tf
         gains *= K1 + 1.0
-        scaled = self.lengths * B
+        lengths *= B
         for part in chunks:
-            norm = scaled[self.positions[part]]
+            norm = lengths[self.positions[part]]
             norm /= self.avgdl
             norm += 1.0 - B
             norm *= K1
@@ -199,7 +185,7 @@ class InvertedIndex:
         nonempty = df > 0  # reduceat needs strictly rising starts
         self.max_gains[nonempty] = np.maximum.reduceat(
             gains, self.indptr[:-1][nonempty])
-        for name in _ARRAYS + ("lengths", "gains", "max_gains"):
+        for name in _ARRAYS + ("gains", "max_gains"):
             getattr(self, name).flags.writeable = False  # shared by threads
 
     def __eq__(self, other):
@@ -241,11 +227,12 @@ class InvertedIndex:
     def doc_positions(self, doc_ids) -> np.ndarray:
         """Positions of doc_ids in `doc_ids`; CorpusLookupError for an id
         outside the index."""
-        ids = self.doc_ids
-        at = [bisect_left(ids, d) for d in doc_ids]
-        for doc_id, i in zip(doc_ids, at):
+        ids, at = self.doc_ids, []
+        for doc_id in doc_ids:
+            i = bisect_left(ids, doc_id)
             if i == len(ids) or ids[i] != doc_id:
                 raise CorpusLookupError(f"document {doc_id!r} not in index")
+            at.append(i)
         return np.array(at, np.int64)
 
     def positions_of(self, ranked: RankedList) -> np.ndarray:
@@ -256,6 +243,20 @@ class InvertedIndex:
         if ranked.source is self.doc_ids:
             return np.frombuffer(ranked.positions, np.intc)
         return self.doc_positions(ranked.ids)
+
+    def ranked(self, query_id: str, positions: np.ndarray,
+               scores: np.ndarray) -> RankedList:
+        """The documents at `positions`, in that order, with their scores:
+        a list that keeps the positions, which `positions_of` gives back."""
+        return RankedList(query_id,
+                          array("i", positions.astype(np.intc).tobytes()),
+                          self.doc_ids, array("d", scores.tobytes()))
+
+    def scores(self, query_tokens: list[str],
+               positions: np.ndarray) -> np.ndarray:
+        """BM25 score of the documents at `positions`, in order; 0.0 where
+        no query term occurs."""
+        return _scores(self._query_terms(query_tokens), positions)
 
     def _query_terms(self, query_tokens: list[str]):
         """(term id, ascending positions, gains, dense gains) of each
@@ -369,53 +370,22 @@ def _scores(hits, positions: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _top_candidates(
-    index: InvertedIndex, hits, pool_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending positions and scores of a set of matching documents that
-    holds the pool_size best and every document tied with the last of them.
-
-    The candidates are the postings of the terms with the largest gains,
-    taken one term at a time, largest first. A document outside them
-    scores at most the other terms' largest gains summed in query order
-    (float addition is monotone), so once that bound is strictly below the
-    pool_size-th candidate score no outside document can enter the pool or
-    tie at its cut.
-    """
-    if len(hits) == 1:
-        return hits[0][1:3]
-    max_gains = index.max_gains
-    by_gain = sorted(hits, key=lambda hit: -max_gains[hit[0]])
-    positions = by_gain[0][1]
-    for taken in range(1, len(hits)):
-        scores = _scores(hits, positions)
-        if len(positions) >= pool_size:
-            rest = {t for t, *_ in by_gain[taken:]}
-            bound = 0.0
-            for t, *_ in hits:  # in query order, as a score is summed
-                if t in rest:
-                    bound += float(max_gains[t])
-            cut = len(positions) - pool_size
-            if bound < np.partition(scores, cut)[cut]:
-                return positions, scores
-        positions = np.union1d(positions, by_gain[taken][1])
-    return positions, _scores(hits, positions)
-
-
-def bm25_scores(
-    index: InvertedIndex, query_tokens: list[str], doc_ids: list[str]
-) -> list[float]:
-    """BM25 score of each of doc_ids, in order; 0.0 when no term occurs."""
-    at = index.doc_positions(doc_ids)
-    return _scores(index._query_terms(query_tokens), at).tolist()
-
-
 def retrieve(
     index: InvertedIndex, query: str, pool_size: int, query_id: str = ""
 ) -> RankedList:
     """Top pool_size documents by BM25 score.
 
     Ties break by ascending doc_id; zero-score documents are excluded.
+
+    MaxScore top-k evaluation (Turtle & Flood, 1995): the candidates are
+    the postings of the query terms with the largest gains, taken one term
+    at a time, largest first, so a common term's postings are looked up,
+    not all read. A document outside them scores at most the other terms'
+    largest gains summed in query order (float addition is monotone), so
+    once that bound is strictly below the pool's cut, the pool_size-th
+    candidate score, no outside document can enter the pool or tie at its
+    cut. The cut is found once per candidate set, and the candidates
+    scoring at least it are ranked.
     """
     if pool_size < 1:
         raise UsageError("pool_size must be >= 1")
@@ -425,13 +395,27 @@ def retrieve(
     hits = index._query_terms(tokens)
     if not hits:
         return make_ranked_list(query_id, [])
-    pos, scores = _top_candidates(index, hits, pool_size)
-    if len(scores) > pool_size:  # keep every document tied at the cut
-        cut = len(scores) - pool_size
-        keep = scores >= np.partition(scores, cut)[cut]
-        pos, scores = pos[keep], scores[keep]
+    max_gains = index.max_gains
+    by_gain = sorted(hits, key=lambda hit: -max_gains[hit[0]])
+    pos = by_gain[0][1]
+    for taken in range(1, len(hits) + 1):
+        scores = _scores(hits, pos)
+        at = len(pos) - pool_size
+        if at >= 0:
+            cut = np.partition(scores, at)[at]
+            rest = {t for t, *_ in by_gain[taken:]}
+            bound = 0.0
+            for t, *_ in hits:  # in query order, as a score is summed
+                if t in rest:
+                    bound += float(max_gains[t])
+            if bound < cut:  # always once every term is taken
+                keep = scores >= cut  # every document tied at the cut
+                pos, scores = pos[keep], scores[keep]
+                break
+        if taken < len(hits):
+            pos = np.union1d(pos, by_gain[taken][1])
     order = np.lexsort((pos, -scores))[:pool_size]
-    return _ranked_at(index, query_id, pos[order], scores[order])
+    return index.ranked(query_id, pos[order], scores[order])
 
 
 def save_index(index: InvertedIndex, path) -> None:

@@ -2,7 +2,9 @@
 
 Both re-rankers work on the index positions of a list's documents
 (`InvertedIndex.positions_of`): the positions ascend with the doc ids, so a
-tie broken by position is broken by doc id.
+tie broken by position is broken by doc id. They score and list those
+documents through the index (`InvertedIndex.scores` and `ranked`), so BM25
+stays in `fairqr.index`.
 """
 from __future__ import annotations
 
@@ -10,13 +12,7 @@ import numpy as np
 
 from .corpus import CorpusStore, tokenize
 from .errors import UsageError
-from .index import (
-    InvertedIndex,
-    RankedList,
-    _ranked_at,
-    _scores,
-    make_ranked_list,
-)
+from .index import InvertedIndex, RankedList, make_ranked_list
 
 
 def semantic_rerank(
@@ -30,9 +26,9 @@ def semantic_rerank(
     An empty set yields an empty list.
     """
     at = index.positions_of(candidates)
-    scores = _scores(index._query_terms(tokenize(original_query)), at)
+    scores = index.scores(tokenize(original_query), at)
     order = np.lexsort((at, -scores))
-    return _ranked_at(index, query_id, at[order], scores[order])
+    return index.ranked(query_id, at[order], scores[order])
 
 
 def _penalties(index: InvertedIndex, at: np.ndarray, rel: np.ndarray,
@@ -105,7 +101,7 @@ def mmr_rerank(
     at = np.sort(index.positions_of(candidates))  # doc_id order
     if not len(at):
         return make_ranked_list(candidates.query_id, [])
-    raw = _scores(index._query_terms(tokenize(original_query)), at)
+    raw = index.scores(tokenize(original_query), at)
     lo, hi = raw.min(), raw.max()
     rel = (raw - lo) / (hi - lo) if hi > lo else np.ones(len(at))
     penalty = _penalties(index, at, rel, lam)
@@ -118,4 +114,4 @@ def mmr_rerank(
         picks[step], picked[step] = best, score[best]
         np.minimum(score, penalty[best], out=score)
         score[best] = -np.inf
-    return _ranked_at(index, candidates.query_id, at[picks], picked)
+    return index.ranked(candidates.query_id, at[picks], picked)

@@ -1,8 +1,8 @@
 """Per-document Lucene BM25, written apart from `fairqr.index`.
 
-Tests compare `retrieve`, `bm25_scores` and the re-rankers against these
-functions. They count terms from the corpus texts themselves, so they share
-nothing with the index but `tokenize`.
+Tests compare `retrieve`, `InvertedIndex.scores` and the re-rankers against
+these functions. They count terms from the corpus texts themselves, so they
+share nothing with the index but `tokenize`.
 """
 from collections import Counter
 from math import log

@@ -196,8 +196,8 @@ class TestIngest:
             {"id": "d1", "text": "a b c", "groups": {}},
             {"id": "d2", "text": "d e", "groups": {}},
         ]
-        # ingestion does not tokenise; the index holds each document's length
-        assert build_index(ingest_corpus(records, [GENDER])).lengths.tolist() == [3, 2]
+        # ingestion does not tokenise; the index counts the documents' tokens
+        assert build_index(ingest_corpus(records, [GENDER])).avgdl == 2.5
 
     def test_roundtrip_is_stable(self):
         records = [

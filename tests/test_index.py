@@ -24,7 +24,6 @@ from fairqr.errors import (
 )
 from fairqr.index import (
     InvertedIndex,
-    bm25_scores,
     build_index,
     load_index,
     make_ranked_list,
@@ -50,14 +49,13 @@ class TestBuild:
         assert index.indptr.tolist() == [0, 1, 3]     # a: d1; b: d1, d2
         assert index.positions.tolist() == [0, 0, 1]
         assert index.tf.tolist() == [1, 1, 2]
-        assert index.lengths.tolist() == [2, 2]
-        assert index.avgdl == 2.0
+        assert index.avgdl == 2.0  # each document holds two tokens
         assert index.n_documents == 2
 
     def test_arrays_are_read_only(self):
         index = build_index(make_store({"d1": "a b", "d2": "b"}))
-        for array in (index.indptr, index.positions, index.tf, index.lengths,
-                      index.gains, index.max_gains):
+        for array in (index.indptr, index.positions, index.tf, index.gains,
+                      index.max_gains):
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -98,7 +96,6 @@ class TestBuild:
         store = make_store({f"d{i}": t for i, t in enumerate(texts)})
         index = build_index(store)
         assert_matches_reference(index, store)
-        assert index.lengths.tolist() == [0] * len(texts)
         assert index.avgdl == 0.0 and index.doc_terms[1].size == 0
         assert len(retrieve(index, "a", 5)) == 0
         save_index(index, tmp_path / "index.npz")
@@ -145,37 +142,49 @@ def assert_matches_reference(index, store):
     assert index.digest == corpus_digest(store)
 
 
+def score_of(index, tokens, doc_ids):
+    """BM25 scores of doc_ids, in order, as floats."""
+    return index.scores(tokens, index.doc_positions(doc_ids)).tolist()
+
+
 class TestScore:
     def test_absent_term_contributes_zero(self):
         index = build_index(make_store({"d1": "a", "d2": "a b"}))
-        with_b = bm25_scores(index, ["a", "b"], ["d1"])[0]
-        without = bm25_scores(index, ["a"], ["d1"])[0]
+        with_b = score_of(index, ["a", "b"], ["d1"])[0]
+        without = score_of(index, ["a"], ["d1"])[0]
         assert with_b == without
 
     def test_hand_computed_tf1(self):
         # N=2, df=1, tf=1, dl=avgdl: idf = ln 2; tf part = 2.2/2.2 = 1
         index = build_index(make_store({"d1": "q x", "d2": "y z"}))
-        assert bm25_scores(index, ["q"], ["d1"])[0] == pytest.approx(
+        assert score_of(index, ["q"], ["d1"])[0] == pytest.approx(
             math.log(2.0), abs=1e-4
         )
 
     def test_hand_computed_tf2(self):
         # tf=2 at dl=avgdl: ln 2 * (2*2.2)/(2+1.2) = 0.95308
         index = build_index(make_store({"d1": "q q", "d2": "y z"}))
-        assert bm25_scores(index, ["q"], ["d1"])[0] == pytest.approx(0.95308, abs=1e-4)
+        assert score_of(index, ["q"], ["d1"])[0] == pytest.approx(0.95308, abs=1e-4)
 
     def test_unknown_doc_raises(self):
         index = build_index(make_store({"d1": "a", "d3": "a"}))
         for unknown in ("nope", "d0", "d2"):  # after, before, between
             with pytest.raises(CorpusLookupError):
-                bm25_scores(index, ["a"], ["d1", unknown])
+                index.doc_positions(["d1", unknown])
+
+    def test_unknown_doc_raises_from_an_iterator(self):
+        # the ids are read once: each is checked as it is looked up
+        index = build_index(make_store({"d1": "a", "d3": "a"}))
+        with pytest.raises(CorpusLookupError):
+            index.doc_positions(iter(["d1", "nope", "d2"]))
+        assert index.doc_positions(iter(["d3", "d1"])).tolist() == [1, 0]
 
     @given(st.integers(min_value=1, max_value=20))
     def test_monotone_in_tf(self, tf):
         base = build_index(make_store({"d1": "q " * tf, "d2": "pad pad pad"}))
         more = build_index(make_store({"d1": "q " * (tf + 1), "d2": "pad pad pad"}))
-        assert (bm25_scores(more, ["q"], ["d1"])[0]
-                >= bm25_scores(base, ["q"], ["d1"])[0])
+        assert (score_of(more, ["q"], ["d1"])[0]
+                >= score_of(base, ["q"], ["d1"])[0])
 
 
 class TestRetrieve:
@@ -253,7 +262,7 @@ class TestRetrieve:
         assert [(e.doc_id, e.score) for e in ranked.entries] == (
             reference_ranking(store, query, pool))
         doc_ids = sorted(store.rows)
-        assert bm25_scores(index, query, doc_ids) == [
+        assert score_of(index, query, doc_ids) == [
             reference_score(store, query, d) for d in doc_ids]
 
     def test_outside_document_tied_at_the_cut_is_scored(self):
@@ -285,6 +294,20 @@ class TestRetrieve:
         assert len(ranked) == 20
         monkeypatch.undo()
         assert retrieve(index, "topic00 markerfemale", 20) == ranked
+
+    @pytest.mark.parametrize("query", ["topic00 markerfemale", "topic00"])
+    def test_the_pool_cut_is_found_once(self, synth, monkeypatch, query):
+        # one candidate set, topic00's 50 postings: its 20th best score is
+        # both the MaxScore bound's test and the cut the ties are kept at
+        partition, calls = np.partition, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return partition(*args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", counted)
+        ranked = retrieve(synth["index"], query, 20)
+        assert calls == [30] and len(ranked) == 20
 
     def test_concurrent_first_use_matches_sequential(self, synth):
         # every thread's first query holds a marker, so threads race to
@@ -369,7 +392,7 @@ class TestDenseGains:
         index = build_index(store)
         tokens = tokenize(query)
         doc_ids = sorted(store.rows)
-        assert bm25_scores(index, tokens, doc_ids) == [
+        assert score_of(index, tokens, doc_ids) == [
             reference_score(store, tokens, d) for d in doc_ids]
         for pool in (1, 3, 7, 40):
             ranked = retrieve(index, query, pool)

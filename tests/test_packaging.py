@@ -1,6 +1,6 @@
 """numpy is the only runtime dependency, scipy and requests stay out, every
-error class is in use, every module uses what it imports, and every private
-module-level name is read."""
+error class is in use, every module uses what it imports, every private
+module-level name is read, and no module reads another's private names."""
 import ast
 import sys
 from pathlib import Path
@@ -108,11 +108,16 @@ def test_every_error_class_is_raised_or_caught():
     assert set(bases) - live == set()
 
 
-def private_definitions(path: Path) -> set[str]:
-    """The private names a module defines at its top level: functions,
-    classes and assigned constants; dunders are left out."""
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def private_names(statements) -> set[str]:
+    """The private names the statements define: functions, classes and
+    assigned names; dunders are left out."""
     names = set()
-    for node in ast.parse(path.read_text(), str(path)).body:
+    for node in statements:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names.add(node.name)
@@ -121,9 +126,12 @@ def private_definitions(path: Path) -> set[str]:
                 node.target]
             names |= {n.id for t in targets for n in ast.walk(t)
                       if isinstance(n, ast.Name)}
-    return {n for n in names
-            if n.startswith("_") and not (n.startswith("__")
-                                          and n.endswith("__"))}
+    return set(filter(is_private, names))
+
+
+def private_definitions(path: Path) -> set[str]:
+    """The private names a module defines at its top level."""
+    return private_names(ast.parse(path.read_text(), str(path)).body)
 
 
 def names_read() -> set[str]:
@@ -146,3 +154,37 @@ def test_every_private_name_is_read():
     read = names_read()
     assert {(module, name) for module, name in defined
             if name not in read} == set()
+
+
+def private_members(path: Path) -> set[str]:
+    """The private names a module defines at its top level or in a class
+    body."""
+    tree = ast.parse(path.read_text(), str(path))
+    return private_names(tree.body).union(
+        *(private_names(node.body) for node in ast.walk(tree)
+          if isinstance(node, ast.ClassDef)))
+
+
+def private_reads(path: Path) -> set[str]:
+    """The private names a module imports from fairqr (`from .m import _x`)
+    or reads as an attribute (`obj._x`)."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "fairqr"):
+            reads |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            reads.add(node.attr)
+    return set(filter(is_private, reads))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_reads_another_modules_private_names(path):
+    # a private name is the defining module's own: one that only other
+    # modules define may not be read here, so each module's internals stay
+    # behind its public names
+    others = set().union(*(private_members(other)
+                           for other in PACKAGE.glob("*.py") if other != path))
+    assert private_reads(path) & (others - private_members(path)) == set()
