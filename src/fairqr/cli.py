@@ -227,6 +227,8 @@ def _check_run_options(config) -> None:
     """Every `run` option value in range, whichever of them the mode reads."""
     refiner = config["refiner"]
     for ok, message in (
+        (config["k"] >= 1, "k must be >= 1"),
+        (config["pool_size"] >= 1, "pool_size must be >= 1"),
         (config["max_iterations"] >= 1, "max_iterations must be >= 1"),
         (refiner in ("lexicon", "llm"), f"unknown refiner kind {refiner!r}"),
         (0.0 <= config["mmr_lambda"] <= 1.0, "mmr_lambda must be in [0, 1]"),
@@ -304,21 +306,22 @@ def cmd_run(args) -> int:
     mode = args.mode
     _require(config, "queries", "out")
     _check_run_options(config)
-    store, index = _load_store_and_index(config)
-    queries = _load_queries(config["queries"])
-    qrels = (_read(config["qrels"], parse_qrels) if config.get("qrels")
-             else Qrels())
     pool, k = config["pool_size"], config["k"]
     fair_modes = mode in ("fairqr", "fairqr-norerank")
     if fair_modes:
-        targets = _targets_for(config, store, qrels, [q for q, _ in queries])
-        refiner = _make_refiner(config, store)
         rcfg = RefinerConfig(
             category=config["category"],
             max_iterations=config["max_iterations"],
             pool_size=pool,
             k=k,
         )
+    store, index = _load_store_and_index(config)
+    queries = _load_queries(config["queries"])
+    qrels = (_read(config["qrels"], parse_qrels) if config.get("qrels")
+             else Qrels())
+    if fair_modes:
+        targets = _targets_for(config, store, qrels, [q for q, _ in queries])
+        refiner = _make_refiner(config, store)
 
     def work(item):
         """(query id, (ranked list, trace dict or None)) for one query."""
@@ -358,7 +361,12 @@ def cmd_run(args) -> int:
             with open(os.path.join(trace_dir, f"{qid}.json"), "w",
                       encoding="utf-8") as fh:
                 json.dump(trace, fh, indent=2, sort_keys=True)
-    print(f"wrote {run_path} ({len(run)} queries, {len(traces)} traces)")
+    empty = sorted(qid for qid, ranked in run.items() if not len(ranked))
+    summary = (f"wrote {run_path} ({len(run) - len(empty)} queries, "
+               f"{len(traces)} traces)")
+    if empty:  # a query without lines is absent from the run file
+        summary += f"; nothing retrieved for {len(empty)}: {', '.join(empty)}"
+    print(summary)
     failed = sorted(qid for qid, trace in traces.items() if trace["error"])
     if failed:
         print(f"refiner failure: {len(failed)} queries' loops ended on an "

@@ -113,6 +113,7 @@ class RunReport:
     category: str = ""  # every target's; "" when there are none
     rows: list[QueryRow] = field(default_factory=list)
     excluded: list[str] = field(default_factory=list)
+    missing: list[str] = field(default_factory=list)  # judged, not in the run
     # {"comparison_run": path, "metrics": {metric: {"t": t, "p": p}}}
     significance: dict | None = None
 
@@ -139,14 +140,15 @@ def evaluate_run(
     mean.
 
     Queries lacking a target are excluded from aggregates and listed in the
-    report. Every target must be of one category, which the report's columns
-    and means are of.
+    report, and so are the judged queries the run lacks. Every target must
+    be of one category, which the report's columns and means are of.
     """
     categories = sorted({t.category for t in targets.values()})
     if len(categories) > 1:
         raise UsageError("targets of more than one category: "
                          + ", ".join(categories))
-    report = RunReport(k=k, category="".join(categories))
+    report = RunReport(k=k, category="".join(categories),
+                       missing=sorted(set(qrels.grades) - set(run)))
     for query_id in sorted(run):
         ranked = run[query_id]
         target = targets.get(query_id)
@@ -189,6 +191,8 @@ def report_to_dict(report: RunReport) -> dict:
         "aggregates": report.aggregates,
         "excluded": report.excluded,
     }
+    if report.missing:
+        out["missing"] = report.missing
     if report.significance is not None:
         out["significance"] = report.significance
     return out
@@ -214,6 +218,9 @@ def report_to_text(report: RunReport) -> str:
     if report.excluded:
         rendered.append(f"excluded ({len(report.excluded)}): "
                         + ", ".join(report.excluded))
+    if report.missing:
+        rendered.append(f"missing ({len(report.missing)}): "
+                        + ", ".join(report.missing))
     if report.significance is not None:
         rendered.append("paired t-test vs "
                         f"{report.significance['comparison_run']}:")

@@ -12,7 +12,7 @@ query after a `REFINED_QUERY:` marker.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Protocol
 
 from .corpus import CorpusStore, is_string_lists, tokenize
@@ -110,7 +110,10 @@ class RefinementTrace:
             "terminal_reason": self.terminal_reason,
             "error": self.error,
             "iterations": [
-                {**asdict(r), "exposure": list(r.exposure)}
+                {"iteration": r.iteration, "query": r.query,
+                 "exposure": list(r.exposure), "divergence": r.divergence,
+                 "subgroup": r.subgroup, "accepted": r.accepted,
+                 "raw_response": r.raw_response}
                 for r in self.records
             ],
         }
@@ -251,7 +254,11 @@ def fair_qr(
     """Run the full refinement loop for one query.
 
     Iteration 0 measures the original query; each later iteration asks the
-    refiner for a new query and measures it. Returns the pool_size-deep
+    refiner for a new query and measures it. A query whose distinct terms,
+    in first-occurrence order, match a query this call already measured is
+    recorded with that measurement, not retrieved again. The reuse is exact:
+    `retrieve` reads a query only as those terms and sums their scores in
+    that order, so it would return the same list. Returns the pool_size-deep
     retrieval of the best accepted query and the per-iteration trace. A
     refiner or retrieval failure ends the loop with the best set so far (an
     empty list when iteration 0 fails) and is named in `trace.error`. A
@@ -264,6 +271,8 @@ def fair_qr(
     goal = target.target.probabilities
     trace = RefinementTrace(query_id=query_id, category=target.category,
                             terminal_reason="max-iterations")
+    # distinct terms in first-occurrence order -> (ranked, eps, shares, delta)
+    measured = {}
     for iteration in range(config.max_iterations + 1):
         subgroup, step = None, Refinement(query)
         try:
@@ -272,14 +281,14 @@ def fair_qr(
                                                  subgroups)
                 step = refiner.refine(query, target, best_eps, config.k,
                                       subgroup)
-            if iteration and step.query == query:  # already measured
-                ranked, eps, shares, delta = (best_ranked, best_eps,
-                                              best_shares, best_delta)
-            else:
+            terms = tuple(dict.fromkeys(tokenize(step.query)))
+            if terms not in measured:
                 ranked = retrieve(index, step.query, config.pool_size, query_id)
                 eps = exposure(ranked, store, target.category, config.k)
-                shares = tuple(eps.probabilities.tolist())
-                delta = kl_divergence(eps.probabilities, goal)
+                measured[terms] = (ranked, eps,
+                                   tuple(eps.probabilities.tolist()),
+                                   kl_divergence(eps.probabilities, goal))
+            ranked, eps, shares, delta = measured[terms]
         except (RefinerError, EmptyQueryError, DegenerateExposureError) as exc:
             trace.error = f"{type(exc).__name__}: {exc}"
             trace.terminal_reason = "error"
@@ -300,8 +309,8 @@ def fair_qr(
             trace.terminal_reason = "no-decrease"
             break
         # the accepted query is the one the next iteration refines
-        query, best_ranked, best_eps, best_shares, best_delta = (
-            step.query, ranked, eps, shares, delta)
+        query, best_ranked, best_eps, best_delta = (step.query, ranked, eps,
+                                                     delta)
         if best_delta <= TARGET_MET_TOLERANCE:
             trace.terminal_reason = "target-met"
             break

@@ -267,6 +267,29 @@ class TestRunCmd:
             assert trace["terminal_reason"] == "no-target"
             assert trace["iterations"] == [] and trace["error"] == ""
 
+    def test_query_retrieving_nothing_is_named_by_run_and_eval(
+            self, workspace, tmp_path, capsys):
+        data, out = workspace["data"], tmp_path / "runs"
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("q00\ttopic00\nq01\tzzzzqq\n")
+        assert main(["run", "bm25"] + workspace["common"] + [
+            "--queries", str(queries), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out / 'run-bm25.txt'} (1 queries, 0 traces); "
+            "nothing retrieved for 1: q01\n")
+        # q01 is judged, so eval lists it with the other absent queries
+        assert main(["eval", str(out / "run-bm25.txt"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--schema", str(data / "schema.json"),
+                     "--qrels", str(data / "qrels.txt"),
+                     "--out", str(tmp_path)]) == 0
+        missing = ["q01"] + [f"q{i:02d}" for i in range(2, 10)]
+        assert capsys.readouterr().out.endswith(
+            f"missing (9): {', '.join(missing)}\n")
+        report = json.loads((tmp_path / "report-run-bm25.json").read_text())
+        assert report["missing"] == missing
+        assert [row["query_id"] for row in report["rows"]] == ["q00"]
+
 
 class TestStaleInputs:
     def test_index_from_another_corpus_rejected(self, workspace, tmp_path,
@@ -522,8 +545,8 @@ def _row(query_id, ndcg, awrf, product):
 
 class TestReportBytes:
     """The exact bytes of `eval`'s reports where the golden experiment does
-    not reach: no rows, excluded queries, and a comparison run sharing too
-    few queries for a t-test."""
+    not reach: no rows, excluded queries, judged queries the run lacks, and
+    a comparison run sharing too few queries for a t-test."""
 
     RUNS = {
         "empty.txt": "",
@@ -551,20 +574,23 @@ class TestReportBytes:
         "query  nDCG@2  AWRF@2[gender]  nDCG*AWRF[gender]\n"
         "q2     1.0000  1.0000          1.0000\n"
         "MEAN   1.0000  1.0000          1.0000\n"
-        "excluded (1): q9\n")
+        "excluded (1): q9\n"
+        "missing (1): q1\n")
     UNPAIRED_JSON = {
         "aggregates": {"awrf.gender": 1.0, "ndcg": 1.0,
                        "product.gender": 1.0},
-        "excluded": ["q9"], "k": 2, "rows": [_row("q2", 1.0, 1.0, 1.0)],
+        "excluded": ["q9"], "k": 2, "missing": ["q1"],
+        "rows": [_row("q2", 1.0, 1.0, 1.0)],
     }
-    EMPTY_JSON = {"aggregates": {}, "excluded": [], "k": 2, "rows": []}
+    EMPTY_JSON = {"aggregates": {}, "excluded": [], "k": 2,
+                  "missing": ["q1", "q2"], "rows": []}
 
     UNPAIRED_NOTE = ("note: the runs share 1 scored query; no t-test was "
                      "run (it needs 2)\n")
 
     @pytest.mark.parametrize("run, flags, text, report, note", [
-        ("empty.txt", ["--targets", "targets.json"], "query  nDCG@2\n",
-         EMPTY_JSON, ""),
+        ("empty.txt", ["--targets", "targets.json"],
+         "query  nDCG@2\nmissing (2): q1, q2\n", EMPTY_JSON, ""),
         ("run-a.txt", [], EXCLUDED_TEXT, EXCLUDED_JSON, ""),
         ("run-b.txt", ["--run-b", "run-a.txt"], UNPAIRED_TEXT, UNPAIRED_JSON,
          UNPAIRED_NOTE),
@@ -664,6 +690,12 @@ class TestUsage:
         ("mmr", ["--temperature", "nan"]),
         ("fairqr", ["--mmr-lambda", "7"]),
         ("fairqr-norerank", ["--jobs", "-1"]),
+        ("bm25", ["--k", "0"]),
+        ("mmr", ["--k", "0"]),
+        # checked before the corpus is read
+        ("bm25", ["--pool-size", "0", "--corpus", "missing.jsonl"]),
+        ("fairqr", ["--k", "50", "--pool-size", "20",
+                    "--corpus", "missing.jsonl"]),
     ])
     def test_bad_option_value_is_usage_error(self, workspace, tmp_path,
                                              capsys, mode, flags):

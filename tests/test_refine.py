@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import http.client
 import io
@@ -329,7 +330,14 @@ class TestFairQRLoop:
         assert trace.records[1].accepted is False
         assert trace.records[1].divergence == trace.records[0].divergence
 
-    def test_unchanged_query_is_not_measured_again(self, monkeypatch):
+    @pytest.mark.parametrize("refined, calls", [
+        ("solar power", 1),
+        ("solar power solar", 1),  # a repeated term: the same distinct terms
+        ("power solar", 2),  # the same terms, summed in another order
+        ("solar power wind", 2),
+    ], ids=["same", "repeated-term", "reordered", "new-term"])
+    def test_query_of_measured_terms_is_not_measured_again(
+            self, monkeypatch, refined, calls):
         store, index = small_collection()
         config = RefinerConfig(category="gender", pool_size=3, k=3)
         retrieved = []
@@ -338,20 +346,34 @@ class TestFairQRLoop:
             retrieved.append(query)
             return retrieve(index, query, *args)
 
+        class Fixed:
+            def refine(self, query, target, current, top_k, subgroup):
+                return Refinement(refined)
+
         monkeypatch.setattr("fairqr.refine.retrieve", counting_retrieve)
-        # every keyword is already in the query, so the refiner returns it
-        refiner = LexiconRefiner({"female": ["solar"], "male": ["power"]})
         ranked, trace = fair_qr(
-            index, store, "solar power", TARGET, config, refiner, "q1"
+            index, store, "solar power", TARGET, config, Fixed(), "q1"
         )
-        assert retrieved == ["solar power"]
+        assert len(retrieved) == calls
         assert trace.terminal_reason == "no-decrease"
-        first, second = trace.records
-        assert second.query == first.query and not second.accepted
-        assert (second.exposure, second.divergence) == (
-            first.exposure, first.divergence
-        )
-        assert ranked == retrieve(index, "solar power", 3, "q1")
+        assert not trace.records[-1].accepted
+        for record in trace.records:
+            fresh = exposure(retrieve(index, record.query, 3, "q1"), store,
+                             "gender", 3)
+            assert record.exposure == tuple(fresh.probabilities.tolist())
+            assert record.divergence == kl_divergence(
+                fresh.probabilities, TARGET.target.probabilities)
+        best = [r for r in trace.records if r.accepted][-1]
+        assert ranked == retrieve(index, best.query, 3, "q1")
+
+    def test_trace_dict_holds_every_record_field(self):
+        store, index = small_collection()
+        config = RefinerConfig(category="gender", pool_size=3, k=3)
+        _, trace = fair_qr(index, store, "solar power", TARGET, config,
+                           LexiconRefiner({"female": ["women"]}), "q1")
+        assert trace.to_dict()["iterations"] == [
+            {**dataclasses.asdict(r), "exposure": list(r.exposure)}
+            for r in trace.records]
 
     def test_kept_result_shares_the_remeasured_exposure(self, synth):
         # A run keeps every query's result. The third iteration re-measures
