@@ -51,7 +51,7 @@ from .refine import (
 )
 from .rerank import mmr_rerank, semantic_rerank
 from .synthetic import SkewSpec, generate
-from .trec import Qrels, parse_qrels, parse_run, write_qrels, write_run
+from .trec import parse_qrels, parse_run, write_qrels, write_run
 
 __version__ = "0.1.0"
 
@@ -69,5 +69,5 @@ __all__ = [
     "fair_qr", "parse_refinement", "render_prompt",
     "mmr_rerank", "semantic_rerank",
     "SkewSpec", "generate",
-    "Qrels", "parse_qrels", "parse_run", "write_qrels", "write_run",
+    "parse_qrels", "parse_run", "write_qrels", "write_run",
 ]

@@ -45,7 +45,7 @@ from .refine import (
     fair_qr,
 )
 from .rerank import mmr_rerank, semantic_rerank
-from .trec import Qrels, parse_qrels, parse_run, write_qrels, write_run
+from .trec import parse_qrels, parse_run, write_qrels, write_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -279,9 +279,9 @@ def cmd_gen(args) -> int:
     with open(os.path.join(outdir, "queries.tsv"), "w", encoding="utf-8") as fh:
         for query_id, text in queries:
             fh.write(f"{query_id}\t{text}\n")
-    qrels = Qrels()
+    qrels = {}
     for query_id, doc_id, grade in qrels_rows:
-        qrels.add(query_id, doc_id, grade)
+        qrels.setdefault(query_id, {})[doc_id] = grade
     write_qrels(qrels, os.path.join(outdir, "qrels.txt"))
     with open(os.path.join(outdir, "lexicon.json"), "w", encoding="utf-8") as fh:
         json.dump(lexicon, fh, indent=2, sort_keys=True)
@@ -318,7 +318,7 @@ def cmd_run(args) -> int:
     store, index = _load_store_and_index(config)
     queries = _load_queries(config["queries"])
     qrels = (_read(config["qrels"], parse_qrels) if config.get("qrels")
-             else Qrels())
+             else {})
     if fair_modes:
         targets = _targets_for(config, store, qrels, [q for q, _ in queries])
         refiner = _make_refiner(config, store)
@@ -367,7 +367,9 @@ def cmd_run(args) -> int:
     if empty:  # a query without lines is absent from the run file
         summary += f"; nothing retrieved for {len(empty)}: {', '.join(empty)}"
     print(summary)
-    failed = sorted(qid for qid, trace in traces.items() if trace["error"])
+    # a loop that measured no query (nothing retrieved) is named above
+    failed = sorted(qid for qid, trace in traces.items()
+                    if trace["error"] and trace["iterations"])
     if failed:
         print(f"refiner failure: {len(failed)} queries' loops ended on an "
               f"error, e.g. {failed[0]}: {traces[failed[0]]['error']}",

@@ -58,10 +58,6 @@ class RefinerError(FairQRError):
 class ParseError(RefinerError):
     """Model response did not contain the refined-query marker."""
 
-    def __init__(self, message: str, fallback_query: str = ""):
-        self.fallback_query = fallback_query
-        super().__init__(message)
-
 
 class LexiconError(RefinerError):
     """Lexicon is not subgroups mapped to keyword lists, or lacks one."""

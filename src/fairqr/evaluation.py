@@ -20,7 +20,7 @@ from .trec import Qrels
 def ndcg_at_k(ranked: RankedList, qrels: Qrels, query_id: str, k: int) -> float:
     if k < 1:
         raise UsageError("k must be >= 1")
-    judged = qrels.judgments(query_id)
+    judged = qrels.get(query_id, {})
     ideal = sorted((g for g in judged.values() if g > 0), reverse=True)
     idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal[:k], start=1))
     if idcg == 0.0:
@@ -148,7 +148,7 @@ def evaluate_run(
         raise UsageError("targets of more than one category: "
                          + ", ".join(categories))
     report = RunReport(k=k, category="".join(categories),
-                       missing=sorted(set(qrels.grades) - set(run)))
+                       missing=sorted(set(qrels) - set(run)))
     for query_id in sorted(run):
         ranked = run[query_id]
         target = targets.get(query_id)

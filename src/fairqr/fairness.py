@@ -72,7 +72,7 @@ def target_from_qrels(
     qrels, store: CorpusStore, query_id: str, category: str
 ) -> FairnessTarget:
     """Empirical group distribution over the query's relevant documents."""
-    judged = qrels.judgments(query_id).items()
+    judged = qrels.get(query_id, {}).items()
     relevant = [d for d, grade in judged if grade > 0 and d in store.rows]
     if not relevant:
         raise NoTargetError(f"no relevant documents for query {query_id!r}")

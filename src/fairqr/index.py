@@ -457,8 +457,7 @@ def load_index(path) -> InvertedIndex:
                 meta = json.loads(npz["meta"].tobytes())
                 arrays = [npz[name] for name in _ARRAYS]
             return _checked_index(meta, *arrays)
-        except (ValueError, KeyError, EOFError, zipfile.BadZipFile,
-                IndexBuildError) as exc:
+        except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
             raise IndexBuildError(
                 f"{path} is not a fairqr index of version {INDEX_VERSION} "
                 f"({exc}); rerun `fairqr index`") from None

@@ -171,16 +171,14 @@ def render_prompt(
 
 
 def parse_refinement(response: str, fallback_query: str) -> str:
-    """Text after the last REFINED_QUERY: marker, trimmed."""
+    """Text after the last REFINED_QUERY: marker, trimmed; ParseError when
+    there is no marker or nothing follows it. `fallback_query` is not read."""
     pos = response.rfind(REFINED_QUERY_MARKER)
     if pos < 0:
-        raise ParseError(
-            f"no {REFINED_QUERY_MARKER!r} marker in response",
-            fallback_query=fallback_query,
-        )
+        raise ParseError(f"no {REFINED_QUERY_MARKER!r} marker in response")
     refined = response[pos + len(REFINED_QUERY_MARKER):].strip()
     if not refined:
-        raise ParseError("empty refined query", fallback_query=fallback_query)
+        raise ParseError("empty refined query")
     return refined
 
 

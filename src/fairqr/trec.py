@@ -5,36 +5,18 @@ Qrels lines: `query_id 0 doc_id grade`. Run lines:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .corpus import open_utf8
 from .errors import RunFileError
 from .index import RankedList, make_ranked_list
 
-
-@dataclass
-class Qrels:
-    """Graded relevance judgments: query id -> doc id -> grade."""
-
-    grades: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def add(self, query_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise RunFileError(
-                f"negative grade for ({query_id}, {doc_id}): {grade}"
-            )
-        judged = self.grades.setdefault(query_id, {})
-        if doc_id in judged:
-            raise RunFileError(f"duplicate qrels pair ({query_id}, {doc_id})")
-        judged[doc_id] = grade
-
-    def judgments(self, query_id: str) -> dict[str, int]:
-        """The query's judgments, doc id -> grade, in the order added."""
-        return dict(self.grades.get(query_id, {}))
+# Graded relevance judgments: query id -> doc id -> grade.
+Qrels = dict[str, dict[str, int]]
 
 
 def parse_qrels(path) -> Qrels:
-    qrels = Qrels()
+    """Judgments in file order; a negative grade or a repeated (query, doc)
+    pair is a RunFileError at its line."""
+    qrels: Qrels = {}
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -52,16 +34,20 @@ def parse_qrels(path) -> Qrels:
                 raise RunFileError(
                     f"non-integer grade {grade_s!r}", line_no
                 ) from None
-            try:
-                qrels.add(query_id, doc_id, grade)
-            except RunFileError as exc:
-                raise RunFileError(str(exc), line_no) from None
+            if grade < 0:
+                raise RunFileError(f"negative grade for ({query_id}, "
+                                   f"{doc_id}): {grade}", line_no)
+            judged = qrels.setdefault(query_id, {})
+            if doc_id in judged:
+                raise RunFileError(f"duplicate qrels pair ({query_id}, "
+                                   f"{doc_id})", line_no)
+            judged[doc_id] = grade
     return qrels
 
 
 def write_qrels(qrels: Qrels, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for query_id, judged in sorted(qrels.grades.items()):
+        for query_id, judged in sorted(qrels.items()):
             for doc_id, grade in sorted(judged.items()):
                 fh.write(f"{query_id} 0 {doc_id} {grade}\n")
 

@@ -3,7 +3,6 @@ import pytest
 from fairqr.corpus import GroupSchema, ingest_corpus
 from fairqr.index import build_index
 from fairqr.synthetic import SkewSpec, generate
-from fairqr.trec import Qrels
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
 
@@ -30,9 +29,9 @@ def synth():
     records, queries, qrels_rows, lexicon = generate(spec)
     store = ingest_corpus(records, [GroupSchema(spec.category, spec.subgroups)])
     index = build_index(store)
-    qrels = Qrels()
+    qrels = {}
     for query_id, doc_id, grade in qrels_rows:
-        qrels.add(query_id, doc_id, grade)
+        qrels.setdefault(query_id, {})[doc_id] = grade
     return {
         "spec": spec,
         "records": records,

@@ -35,7 +35,7 @@ from fairqr.index import build_index, make_ranked_list, retrieve
 from fairqr.llm import ChatCompletionClient
 from fairqr.refine import LLMRefiner, LexiconRefiner, RefinerConfig, fair_qr
 from fairqr.rerank import semantic_rerank
-from fairqr.trec import Qrels, parse_qrels, parse_run, write_run
+from fairqr.trec import parse_qrels, parse_run, write_run
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -106,9 +106,7 @@ def test_criterion_1_metric_oracles():
         abs(composite(0.6530, 0.9316) - 0.6083) < 1e-4,
     ]
     # nDCG hand computation: grades {d1:2, d2:1}, ranking (d2, d1), k=2
-    qrels = Qrels()
-    qrels.add("q1", "d1", 2)
-    qrels.add("q1", "d2", 1)
+    qrels = {"q1": {"d1": 2, "d2": 1}}
     ranked = make_ranked_list("q1", [("d2", 2.0), ("d1", 1.0)])
     checks.append(abs(ndcg_at_k(ranked, qrels, "q1", 2) - 0.85972) < 1e-4)
     t, p = paired_t_test([1, 2, 3, 4, 5], [2, 2, 4, 4, 6])
@@ -273,10 +271,7 @@ def test_criterion_6_format_interop(pipeline, tmp_path):
     store = ingest_corpus(
         records, [GroupSchema("gender", ("male", "female", "Unknown"))]
     )
-    fixture_qrels = Qrels()
-    for q in ("q1", "q2", "q3"):
-        fixture_qrels.add(q, "m1", 1)
-        fixture_qrels.add(q, "f1", 1)
+    fixture_qrels = {q: {"m1": 1, "f1": 1} for q in ("q1", "q2", "q3")}
     run = {
         "q1": make_ranked_list("q1", [("m1", 2.0), ("f1", 1.0)]),
         "q2": make_ranked_list("q2", [("m1", 2.0), ("m2", 1.0)]),

@@ -269,26 +269,36 @@ class TestRunCmd:
 
     def test_query_retrieving_nothing_is_named_by_run_and_eval(
             self, workspace, tmp_path, capsys):
-        data, out = workspace["data"], tmp_path / "runs"
+        # q01 has a target but retrieves nothing, so its loop measures no
+        # query: the fair modes trace the error and still exit 0
+        data = workspace["data"]
         queries = tmp_path / "queries.tsv"
         queries.write_text("q00\ttopic00\nq01\tzzzzqq\n")
-        assert main(["run", "bm25"] + workspace["common"] + [
-            "--queries", str(queries), "--out", str(out)]) == 0
-        assert capsys.readouterr().out == (
-            f"wrote {out / 'run-bm25.txt'} (1 queries, 0 traces); "
-            "nothing retrieved for 1: q01\n")
-        # q01 is judged, so eval lists it with the other absent queries
-        assert main(["eval", str(out / "run-bm25.txt"),
-                     "--corpus", str(data / "corpus.jsonl"),
-                     "--schema", str(data / "schema.json"),
-                     "--qrels", str(data / "qrels.txt"),
-                     "--out", str(tmp_path)]) == 0
-        missing = ["q01"] + [f"q{i:02d}" for i in range(2, 10)]
-        assert capsys.readouterr().out.endswith(
-            f"missing (9): {', '.join(missing)}\n")
-        report = json.loads((tmp_path / "report-run-bm25.json").read_text())
-        assert report["missing"] == missing
-        assert [row["query_id"] for row in report["rows"]] == ["q00"]
+        for mode, traces in (("bm25", 0), ("fairqr", 2),
+                             ("fairqr-norerank", 2)):
+            out = tmp_path / mode
+            assert main(["run", mode] + workspace["common"] + [
+                "--queries", str(queries), "--out", str(out)]) == 0, mode
+            assert capsys.readouterr().out == (
+                f"wrote {out / f'run-{mode}.txt'} (1 queries, {traces} "
+                "traces); nothing retrieved for 1: q01\n")
+            if traces:
+                trace = json.loads((out / "traces" / "q01.json").read_text())
+                assert trace["terminal_reason"] == "error"
+                assert trace["error"].startswith("DegenerateExposureError")
+                assert trace["iterations"] == []
+            # q01 is judged, so eval lists it with the other absent queries
+            assert main(["eval", str(out / f"run-{mode}.txt"),
+                         "--corpus", str(data / "corpus.jsonl"),
+                         "--schema", str(data / "schema.json"),
+                         "--qrels", str(data / "qrels.txt"),
+                         "--out", str(out)]) == 0
+            missing = ["q01"] + [f"q{i:02d}" for i in range(2, 10)]
+            assert capsys.readouterr().out.endswith(
+                f"missing (9): {', '.join(missing)}\n")
+            report = json.loads((out / f"report-run-{mode}.json").read_text())
+            assert report["missing"] == missing
+            assert [row["query_id"] for row in report["rows"]] == ["q00"]
 
 
 class TestStaleInputs:

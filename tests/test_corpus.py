@@ -118,7 +118,10 @@ class TestLoadCorpus:
         ('{"id": "d2"}', "line 4: missing or invalid 'text'"),
         ("5", "line 4: record is not an object"),
         ('{"id": "d2", "text": }', "line 4: invalid JSON: "),
-    ], ids=["duplicate-id", "no-text", "not-an-object", "invalid-json"])
+        ('{"id": "d2", "text": "y", "groups": ["male"]}',
+         "line 4: 'groups' must be an object"),
+    ], ids=["duplicate-id", "no-text", "not-an-object", "invalid-json",
+            "groups-not-an-object"])
     def test_record_error_names_its_file_line(self, tmp_path, line, message):
         # the record at fault is the second, on line 4 after two blank lines
         corpus = tmp_path / "corpus.jsonl"

@@ -24,7 +24,7 @@ from fairqr.fairness import (
     exposure,
 )
 from fairqr.index import RankedList, make_ranked_list
-from fairqr.trec import Qrels, parse_qrels, parse_run, write_qrels, write_run
+from fairqr.trec import parse_qrels, parse_run, write_qrels, write_run
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
 
@@ -37,39 +37,30 @@ def ranking(query_id, doc_ids):
 
 class TestNdcg:
     def test_ideal_ranking_is_one(self):
-        qrels = Qrels()
-        qrels.add("q1", "d1", 2)
-        qrels.add("q1", "d2", 1)
+        qrels = {"q1": {"d1": 2, "d2": 1}}
         assert ndcg_at_k(ranking("q1", ["d1", "d2"]), qrels, "q1", 2) == 1.0
 
     def test_no_relevant_retrieved_is_zero(self):
-        qrels = Qrels()
-        qrels.add("q1", "d9", 1)
+        qrels = {"q1": {"d9": 1}}
         assert ndcg_at_k(ranking("q1", ["d1", "d2"]), qrels, "q1", 2) == 0.0
 
     def test_hand_computed(self):
-        qrels = Qrels()
-        qrels.add("q1", "d1", 2)
-        qrels.add("q1", "d2", 1)
+        qrels = {"q1": {"d1": 2, "d2": 1}}
         got = ndcg_at_k(ranking("q1", ["d2", "d1"]), qrels, "q1", 2)
         assert got == pytest.approx(0.85972, abs=1e-4)
 
     def test_unjudged_query_is_zero(self):
-        assert ndcg_at_k(ranking("q1", ["d1"]), Qrels(), "q1", 5) == 0.0
+        assert ndcg_at_k(ranking("q1", ["d1"]), {}, "q1", 5) == 0.0
 
     def test_idcg_covers_unretrieved_docs(self):
         # judged-relevant docs outside the ranking still set the ideal
-        qrels = Qrels()
-        qrels.add("q1", "d1", 1)
-        qrels.add("q1", "d9", 1)
+        qrels = {"q1": {"d1": 1, "d9": 1}}
         got = ndcg_at_k(ranking("q1", ["d1"]), qrels, "q1", 5)
         expected = 1.0 / (1.0 + 1.0 / math.log2(3))
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_invariant_under_score_rescaling(self):
-        qrels = Qrels()
-        qrels.add("q1", "d1", 2)
-        qrels.add("q1", "d2", 1)
+        qrels = {"q1": {"d1": 2, "d2": 1}}
         a = make_ranked_list("q1", [("d2", 10.0), ("d1", 5.0)])
         b = make_ranked_list("q1", [("d2", 1000.0), ("d1", 500.5)])
         assert ndcg_at_k(a, qrels, "q1", 2) == ndcg_at_k(b, qrels, "q1", 2)
@@ -97,8 +88,7 @@ def test_top_k_measures_look_up_only_k_ids(measure):
         dist = exposure(ranked, store, "gender", 20)
         assert dist.probabilities[0] == pytest.approx(1.0)
     else:
-        qrels = Qrels()
-        qrels.add("q1", "d000", 1)
+        qrels = {"q1": {"d000": 1}}
         assert ndcg_at_k(ranked, qrels, "q1", 20) == 1.0
     assert ids.lookups == 20
 
@@ -186,10 +176,7 @@ def three_query_fixture():
         {"id": "f2", "text": "x", "groups": {"gender": ["female"]}},
     ]
     store = ingest_corpus(records, [GENDER])
-    qrels = Qrels()
-    for q in ("q1", "q2", "q3"):
-        qrels.add(q, "m1", 1)
-        qrels.add(q, "f1", 1)
+    qrels = {q: {"m1": 1, "f1": 1} for q in ("q1", "q2", "q3")}
     run = {
         "q1": ranking("q1", ["m1", "f1"]),   # ideal, balanced
         "q2": ranking("q2", ["m1", "m2"]),   # one relevant, all male
@@ -263,7 +250,7 @@ class TestEvaluateRun:
                                                  "geo": ["south"]}},
         ]
         store = ingest_corpus(records, [GENDER, geo])
-        qrels = Qrels()
+        qrels = {}
         run = {q: ranking(q, ["d1", "d2"]) for q in ("q1", "q2")}
         targets = {
             "q1": FairnessTarget("q1", "gender", ExposureDistribution(
@@ -277,15 +264,24 @@ class TestEvaluateRun:
 
 class TestTrecFormats:
     def test_qrels_roundtrip(self, tmp_path):
-        qrels = Qrels()
-        qrels.add("q1", "d1", 2)
-        qrels.add("q1", "d2", 0)
-        qrels.add("q2", "d3", 1)
+        qrels = {"q1": {"d1": 2, "d2": 0}, "q2": {"d3": 1}}
         path = tmp_path / "qrels.txt"
         write_qrels(qrels, path)
-        assert parse_qrels(path).grades == qrels.grades
+        assert parse_qrels(path) == qrels
         write_qrels(parse_qrels(path), tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("q1 0 d1 1\nq1 0 d2 -1\n", "line 2: negative grade for (q1, d2): -1"),
+        ("q1 0 d1 1\nq1 0 d1 2\n", "line 2: duplicate qrels pair (q1, d1)"),
+        ("q1 0 d1 1\n\nq1 0 d2\n", "line 3: expected 4 fields, got 3"),
+    ], ids=["negative-grade", "duplicate-pair", "three-fields"])
+    def test_bad_qrels_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "qrels.txt"
+        path.write_text(text)
+        with pytest.raises(RunFileError) as info:
+            parse_qrels(path)
+        assert str(info.value) == message
 
     def test_run_roundtrip_bit_exact(self, tmp_path, synth):
         from fairqr.index import retrieve

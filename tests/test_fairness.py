@@ -24,7 +24,6 @@ from fairqr.fairness import (
     target_from_qrels,
 )
 from fairqr.index import make_ranked_list
-from fairqr.trec import Qrels
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
 
@@ -112,9 +111,7 @@ class TestExposure:
 class TestTargetFromQrels:
     def test_mean_of_indicators(self):
         store = store_of({"d1": ["male"], "d2": ["female"]})
-        qrels = Qrels()
-        qrels.add("q1", "d1", 1)
-        qrels.add("q1", "d2", 2)
+        qrels = {"q1": {"d1": 1, "d2": 2}}
         target = target_from_qrels(qrels, store, "q1", "gender")
         assert np.allclose(target.target.probabilities, [0.5, 0.5, 0.0])
         assert target.provenance == "qrels-empirical"
@@ -123,27 +120,24 @@ class TestTargetFromQrels:
         geo = GroupSchema("geo", ("asia", "europe", "america", "Unknown"))
         records = [{"id": "d1", "text": "x", "groups": {"geo": ["asia", "europe"]}}]
         store = ingest_corpus(records, [geo])
-        qrels = Qrels()
-        qrels.add("q1", "d1", 1)
+        qrels = {"q1": {"d1": 1}}
         target = target_from_qrels(qrels, store, "q1", "geo")
         assert np.allclose(target.target.probabilities, [0.5, 0.5, 0.0, 0.0])
 
     def test_irrelevant_only_raises(self):
         store = store_of({"d1": ["male"]})
-        qrels = Qrels()
-        qrels.add("q1", "d1", 0)
+        qrels = {"q1": {"d1": 0}}
         with pytest.raises(NoTargetError):
             target_from_qrels(qrels, store, "q1", "gender")
 
     def test_absent_query_raises(self):
         store = store_of({"d1": ["male"]})
         with pytest.raises(NoTargetError):
-            target_from_qrels(Qrels(), store, "q9", "gender")
+            target_from_qrels({}, store, "q9", "gender")
 
     def test_unknown_category_raises(self):
         store = store_of({"d1": ["male"]})
-        qrels = Qrels()
-        qrels.add("q1", "d1", 1)
+        qrels = {"q1": {"d1": 1}}
         with pytest.raises(CorpusLookupError):
             target_from_qrels(qrels, store, "q1", "age")
 

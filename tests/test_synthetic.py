@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,8 @@ from fairqr.errors import UsageError
 from fairqr.fairness import exposure
 from fairqr.index import build_index, retrieve
 from fairqr.synthetic import SkewSpec, generate
+
+THREE_GROUPS = {"a": 0.5, "b": 0.25, "c": 0.25}
 
 
 class TestSkewSpec:
@@ -55,6 +58,23 @@ class TestGenerate:
             assert subs.count("male") == 80
             assert subs.count("female") == 20
 
+    @pytest.mark.parametrize("skew, counts", [
+        (0.7, {"a": 7, "b": 1, "c": 2}),  # rounded shares overshoot: 2 + 2 > 3
+        (0.5, {"a": 5, "b": 3, "c": 2}),  # rounded shares undershoot: 2 + 2 < 5
+    ], ids=["decrement", "increment"])
+    def test_three_group_allocation(self, skew, counts):
+        spec = SkewSpec(seed=1, doc_count=10, topic_count=1, skew=skew,
+                        proportions=THREE_GROUPS)
+        records = generate(spec)[0]
+        assert Counter(r["groups"]["gender"][0] for r in records) == counts
+
+    def test_skew_leaving_a_minority_no_document_rejected(self):
+        spec = SkewSpec(seed=1, doc_count=2, topic_count=1, skew=0.9,
+                        proportions=THREE_GROUPS)
+        with pytest.raises(UsageError, match="^skew leaves fewer documents "
+                                             "than minority subgroups$"):
+            generate(spec)
+
     def test_corpus_ingests_cleanly(self, synth):
         # generated records satisfy every corpus invariant on ingestion
         store = synth["store"]
@@ -64,7 +84,7 @@ class TestGenerate:
         store, qrels = synth["store"], synth["qrels"]
         for query_id, _ in synth["queries"]:
             relevant = [
-                d for d, g in qrels.judgments(query_id).items() if g > 0
+                d for d, g in qrels[query_id].items() if g > 0
             ]
             seen = set()
             for doc_id in relevant:
