@@ -22,6 +22,7 @@ from .errors import (
     FairQRError,
     IngestionError,
     SchemaError,
+    UsageError,
 )
 
 UNKNOWN = "Unknown"
@@ -97,14 +98,18 @@ class CorpusStore:
     is that document's text. `groups` holds one read-only (documents + 1) x
     subgroups matrix per category: row i is the i-th ingested document's
     membership vector, the last row (all mass on "Unknown") an id outside
-    the corpus. Safe for concurrent reads once built; ingestion is
-    single-writer.
+    the corpus. `rows_at` keeps, per category and index, the rows aligned
+    to the index's doc ids. Safe for concurrent reads once built; ingestion
+    is single-writer.
     """
 
     schemas: dict[str, GroupSchema]
     rows: dict[str, int] = field(default_factory=dict)
     texts: list[str] = field(default_factory=list)
     groups: dict[str, np.ndarray] = field(default_factory=dict)
+    # (category, id(doc_ids)) -> (doc_ids, aligned rows, missing positions)
+    _aligned: dict[tuple[str, int], tuple] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def n_documents(self) -> int:
@@ -120,7 +125,10 @@ class CorpusStore:
                    missing_doc: str = "error") -> np.ndarray:
         """The documents' membership rows in the category, in order; an id
         outside the corpus raises, or with missing_doc="unknown" gets the
-        last row."""
+        last row. Any other missing_doc raises UsageError."""
+        if missing_doc not in ("error", "unknown"):
+            raise UsageError(f"missing_doc must be 'error' or 'unknown', "
+                             f"not {missing_doc!r}")
         self.schema(category)  # CorpusLookupError for an unknown category
         matrix, rows = self.groups[category], self.rows
         if missing_doc == "unknown":
@@ -130,6 +138,34 @@ class CorpusStore:
         except KeyError as exc:
             raise CorpusLookupError(
                 f"unknown document id {exc.args[0]!r}") from None
+
+    def rows_at(self, category: str, doc_ids: tuple[str, ...],
+                positions: np.ndarray) -> np.ndarray:
+        """`group_rows(category, [doc_ids[i] for i in positions])`, read
+        without looking up an id.
+
+        `doc_ids` is an index's tuple. On first use for a category and that
+        tuple (by identity) the store derives and keeps a read-only matrix
+        whose row i is doc_ids[i]'s membership vector: 8 bytes × documents
+        × subgroups. An id outside the corpus raises CorpusLookupError only
+        when `positions` reach it.
+        """
+        key = (category, id(doc_ids))
+        entry = self._aligned.get(key)
+        if entry is None:
+            self.schema(category)  # CorpusLookupError for an unknown category
+            at = [self.rows.get(d, -1) for d in doc_ids]
+            matrix = self.groups[category][at]
+            matrix.flags.writeable = False
+            missing = frozenset(i for i, row in enumerate(at) if row < 0)
+            # the entry holds doc_ids, so no other tuple takes its id; racing
+            # threads derive equal entries, and one is kept
+            entry = self._aligned.setdefault(key, (doc_ids, matrix, missing))
+        _, matrix, missing = entry
+        if missing and not missing.isdisjoint(positions.tolist()):
+            # raises, naming the first id outside the corpus
+            return self.group_rows(category, [doc_ids[i] for i in positions])
+        return matrix.take(positions, axis=0)
 
 
 def ingest_corpus(

@@ -16,7 +16,7 @@ from .errors import (
     NoTargetError,
     UsageError,
 )
-from .index import RankedList
+from .index import InvertedIndex, RankedList
 
 KL_SMOOTHING = 1e-6
 
@@ -63,9 +63,55 @@ def exposure(
         raise DegenerateExposureError(
             f"empty ranked list for query {ranked.query_id!r}"
         )
-    rows = store.group_rows(category, top, missing_doc)
-    weights = np.full(len(top), 1.0 / len(top))
-    return ExposureDistribution(category, weights @ rows)
+    return ExposureDistribution(
+        category, _mean(store.group_rows(category, top, missing_doc)))
+
+
+def _mean(rows: np.ndarray) -> np.ndarray:
+    """Exposure of the documents of these membership rows: each of the n
+    weighs 1/n."""
+    return np.full(len(rows), 1.0 / len(rows)) @ rows
+
+
+class ExposureMeter:
+    """The refinement loop's measurement: the top-k exposure of one index's
+    ranked lists and its KL divergence from one target, equal to
+    `exposure` and `kl_divergence` of the same list, float for float.
+
+    What every measurement shares is derived once: the checks of k and of
+    the target's length, the smoothed target, and the store's rows aligned
+    to the index (`CorpusStore.rows_at`), so a measurement looks up no id.
+    """
+
+    def __init__(self, store: CorpusStore, index: InvertedIndex,
+                 target: FairnessTarget, k: int):
+        if k < 1:
+            raise UsageError("k must be >= 1")
+        self.subgroups = store.schema(target.category).subgroups
+        self.goal = target.target.probabilities
+        if self.goal.shape != (len(self.subgroups),):
+            raise UsageError(f"length mismatch: {(len(self.subgroups),)} vs "
+                             f"{self.goal.shape}")
+        self.smoothed_goal = _smoothed(self.goal, KL_SMOOTHING)
+        self.store, self.index, self.k = store, index, k
+        self.category = target.category
+
+    def measure(self, ranked: RankedList
+                ) -> tuple[ExposureDistribution, float]:
+        """(exposure at k, KL divergence from the target) of a ranked
+        list; DegenerateExposureError when it is empty."""
+        top = self.index.positions_of(ranked)[:self.k]
+        if not len(top):
+            raise DegenerateExposureError(
+                f"empty ranked list for query {ranked.query_id!r}")
+        eps = ExposureDistribution(self.category, _mean(
+            self.store.rows_at(self.category, self.index.doc_ids, top)))
+        return eps, _kl(_smoothed(eps.probabilities, KL_SMOOTHING),
+                        self.smoothed_goal)
+
+    def most_underrepresented(self, current: ExposureDistribution) -> str:
+        """`most_underrepresented` of the exposure and the target."""
+        return _neediest(current.probabilities, self.goal, self.subgroups)
 
 
 def target_from_qrels(
@@ -92,10 +138,19 @@ def _vectors(p, q) -> tuple[np.ndarray, np.ndarray]:
 def kl_divergence(p, q, smoothing: float = KL_SMOOTHING) -> float:
     """KL(p || q) in nats after additive smoothing and renormalization."""
     p, q = _vectors(p, q)
-    ps = p + smoothing  # new arrays: p and q may be the caller's
+    return _kl(_smoothed(p, smoothing), _smoothed(q, smoothing))
+
+
+def _smoothed(p: np.ndarray, smoothing: float) -> np.ndarray:
+    """p plus smoothing, renormalised: a new array, as p may be the
+    caller's."""
+    ps = p + smoothing
     ps /= ps.sum()
-    qs = q + smoothing
-    qs /= qs.sum()
+    return ps
+
+
+def _kl(ps: np.ndarray, qs: np.ndarray) -> float:
+    """KL(ps || qs) in nats of smoothed vectors."""
     terms = np.log(ps / qs)
     terms *= ps
     return float(terms.sum())
@@ -134,5 +189,9 @@ def most_underrepresented(current, target, subgroups) -> str:
     cur, tgt = _vectors(current, target)
     if len(subgroups) != len(cur):
         raise UsageError("subgroup labels do not match distribution length")
-    deficits = tgt - cur
-    return subgroups[int(np.argmax(deficits))]
+    return _neediest(cur, tgt, subgroups)
+
+
+def _neediest(cur: np.ndarray, tgt: np.ndarray, subgroups) -> str:
+    """The subgroup of the largest deficit tgt - cur; the first on a tie."""
+    return subgroups[int(np.argmax(tgt - cur))]

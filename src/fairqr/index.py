@@ -12,12 +12,15 @@ are made from them a bounded chunk at a time, on build and on load alike.
 `retrieve` ranks the whole index; `InvertedIndex.scores` scores given
 documents and `InvertedIndex.ranked` lists them, for the re-rankers.
 
-A query term in at least an eighth of the documents is looked up directly:
-on first use the index derives the term's gain at every document position
-(0.0 where it is absent), a read-only vector of 8 bytes × documents that it
-keeps and never saves. The common terms' postings add up to at most all
-postings, so at most 8 × the mean distinct terms per document qualify. A
-rarer term is found in its postings by binary search.
+On a query term's first use the index keeps an entry for it: views of its
+positions and gains, and its largest gain as a Python float, so the
+MaxScore ordering and bound read no NumPy scalars. A term in at least an
+eighth of the documents is looked up directly: its entry also holds its
+gain at every document position (0.0 where it is absent), a read-only
+vector of 8 bytes × documents that is never saved. The common terms'
+postings add up to at most all postings, so at most 8 × the mean distinct
+terms per document qualify. A rarer term is found in its postings by
+binary search.
 """
 from __future__ import annotations
 
@@ -129,10 +132,11 @@ class InvertedIndex:
     `doc_ids` are sorted; a posting's position indexes them. `digest` is
     `corpus_digest` of the corpus the index was built from. `avgdl`, `gains`
     and `max_gains` (each term's largest gain, 0.0 for a term without
-    postings) are derived from the other fields, and `doc_terms` and a
-    common query term's dense gains (`_query_terms`) from the postings on
-    first use. Every array is read-only, so concurrent retrieval is safe;
-    `==` compares the persisted fields.
+    postings) are derived from the other fields, and `doc_terms` and each
+    query term's entry (`_query_terms`; a common term's dense gains are
+    also in `_dense`) from the postings on first use. Every array is
+    read-only, so concurrent retrieval is safe; `==` compares the persisted
+    fields.
     """
 
     doc_ids: tuple[str, ...]
@@ -146,6 +150,8 @@ class InvertedIndex:
     max_gains: np.ndarray = field(init=False, repr=False)
     _dense: dict[int, np.ndarray] = field(init=False, repr=False,
                                           default_factory=dict)
+    _entries: dict[str, tuple] = field(init=False, repr=False,
+                                       default_factory=dict)
 
     def __post_init__(self):
         """Every posting's gain, in the per-document formula's operand order
@@ -258,34 +264,43 @@ class InvertedIndex:
         no query term occurs."""
         return _scores(self._query_terms(query_tokens), positions)
 
-    def _query_terms(self, query_tokens: list[str]):
-        """(term id, ascending positions, gains, dense gains) of each
-        distinct query term with postings, in query order.
+    def _query_terms(self, terms):
+        """(largest gain, ascending positions, gains, dense gains) of each
+        distinct query term with postings, in first-occurrence order.
 
-        A common term, one in at least an eighth of the documents, has dense
-        gains: its gain at every document position, 0.0 where it is absent,
-        derived on first use and kept (8 bytes a document, at most 64 a
-        posting of the term); a rarer term has None.
+        A term's entry is derived on its first use and kept, for the terms
+        of the vocabulary only, so arbitrary query text cannot grow it. Its
+        largest gain is a Python float. A common term, one in at least an
+        eighth of the documents, has dense gains: its gain at every document
+        position, 0.0 where it is absent (8 bytes a document, at most 64 a
+        posting of the term), also kept in `_dense` by term id; a rarer term
+        has None. Threads that race on a first use derive equal entries, and
+        one is kept.
         """
         hits = []
-        n = self.n_documents
-        for term in dict.fromkeys(query_tokens):
-            t = self.vocabulary.get(term)
-            if t is not None:
-                lo, hi = self.indptr[t], self.indptr[t + 1]
-                if lo < hi:
-                    positions, gains = self.positions[lo:hi], self.gains[lo:hi]
-                    dense = None
-                    if 8 * (hi - lo) >= n:
-                        dense = self._dense.get(t)
-                        if dense is None:
-                            dense = np.zeros(n)
-                            dense[positions] = gains
-                            dense.flags.writeable = False
-                            # racing threads derive equal vectors; one is kept
-                            dense = self._dense.setdefault(t, dense)
-                    hits.append((t, positions, gains, dense))
+        for term in dict.fromkeys(terms):
+            hit = self._entries.get(term)
+            if hit is None:
+                t = self.vocabulary.get(term)
+                if t is None:
+                    continue
+                hit = self._entries.setdefault(term, self._entry(t))
+            if hit:  # () for a term without postings
+                hits.append(hit)
         return hits
+
+    def _entry(self, t: int) -> tuple:
+        lo, hi = self.indptr[t:t + 2].tolist()
+        if lo == hi:
+            return ()
+        positions, gains = self.positions[lo:hi], self.gains[lo:hi]
+        dense = None
+        if 8 * (hi - lo) >= self.n_documents:
+            dense = np.zeros(self.n_documents)
+            dense[positions] = gains
+            dense.flags.writeable = False
+            dense = self._dense.setdefault(t, dense)
+        return (float(self.max_gains[t]), positions, gains, dense)
 
 
 _BLOCK = 1024  # texts per tokenize_many call: few calls, a small block
@@ -370,10 +385,28 @@ def _scores(hits, positions: np.ndarray) -> np.ndarray:
     return scores
 
 
+def query_terms(query: str) -> tuple[str, ...]:
+    """The query's distinct tokens, in first-occurrence order: all that
+    `retrieve` reads of it. EmptyQueryError when it has none."""
+    terms = tuple(dict.fromkeys(tokenize(query)))
+    if not terms:
+        raise EmptyQueryError(f"query {query!r} tokenized to nothing")
+    return terms
+
+
 def retrieve(
     index: InvertedIndex, query: str, pool_size: int, query_id: str = ""
 ) -> RankedList:
-    """Top pool_size documents by BM25 score.
+    """Top pool_size documents by BM25 score: `retrieve_terms` of the
+    query's `query_terms`."""
+    return retrieve_terms(index, query_terms(query), pool_size, query_id)
+
+
+def retrieve_terms(
+    index: InvertedIndex, terms, pool_size: int, query_id: str = ""
+) -> RankedList:
+    """Top pool_size documents by the BM25 score of the distinct terms,
+    summed in their order.
 
     Ties break by ascending doc_id; zero-score documents are excluded.
 
@@ -389,31 +422,27 @@ def retrieve(
     """
     if pool_size < 1:
         raise UsageError("pool_size must be >= 1")
-    tokens = tokenize(query)
-    if not tokens:
-        raise EmptyQueryError(f"query {query!r} tokenized to nothing")
-    hits = index._query_terms(tokens)
+    hits = index._query_terms(terms)
     if not hits:
         return make_ranked_list(query_id, [])
-    max_gains = index.max_gains
-    by_gain = sorted(hits, key=lambda hit: -max_gains[hit[0]])
-    pos = by_gain[0][1]
+    by_gain = sorted(range(len(hits)), key=lambda i: -hits[i][0])
+    pos = hits[by_gain[0]][1]
     for taken in range(1, len(hits) + 1):
         scores = _scores(hits, pos)
         at = len(pos) - pool_size
         if at >= 0:
             cut = np.partition(scores, at)[at]
-            rest = {t for t, *_ in by_gain[taken:]}
-            bound = 0.0
-            for t, *_ in hits:  # in query order, as a score is summed
-                if t in rest:
-                    bound += float(max_gains[t])
+            rest = by_gain[taken:]
+            bound = 0.0  # summed in query order, as each score is
+            for i, hit in enumerate(hits):
+                if i in rest:
+                    bound += hit[0]
             if bound < cut:  # always once every term is taken
                 keep = scores >= cut  # every document tied at the cut
                 pos, scores = pos[keep], scores[keep]
                 break
         if taken < len(hits):
-            pos = np.union1d(pos, by_gain[taken][1])
+            pos = np.union1d(pos, hits[by_gain[taken]][1])
     order = np.lexsort((pos, -scores))[:pool_size]
     return index.ranked(query_id, pos[order], scores[order])
 

@@ -25,14 +25,14 @@ from .errors import (
     TemplateError,
     UsageError,
 )
-from .fairness import (
-    ExposureDistribution,
-    FairnessTarget,
-    exposure,
-    kl_divergence,
-    most_underrepresented,
+from .fairness import ExposureDistribution, ExposureMeter, FairnessTarget
+from .index import (
+    InvertedIndex,
+    RankedList,
+    make_ranked_list,
+    query_terms,
+    retrieve_terms,
 )
-from .index import InvertedIndex, RankedList, make_ranked_list, retrieve
 from .llm import ChatCompletionClient
 
 TARGET_MET_TOLERANCE = 1e-9
@@ -253,39 +253,39 @@ def fair_qr(
 
     Iteration 0 measures the original query; each later iteration asks the
     refiner for a new query and measures it. A query whose distinct terms,
-    in first-occurrence order, match a query this call already measured is
-    recorded with that measurement, not retrieved again. The reuse is exact:
-    `retrieve` reads a query only as those terms and sums their scores in
-    that order, so it would return the same list. Returns the pool_size-deep
-    retrieval of the best accepted query and the per-iteration trace. A
-    refiner or retrieval failure ends the loop with the best set so far (an
-    empty list when iteration 0 fails) and is named in `trace.error`. A
-    config of another category than the target's raises UsageError.
+    in first-occurrence order (`query_terms`), match a query this call
+    already measured is recorded with that measurement, not retrieved again.
+    The reuse is exact: `retrieve_terms` reads only those terms and sums
+    their scores in that order, so it would return the same list. Each
+    measurement is an `ExposureMeter`'s, equal to `exposure` and
+    `kl_divergence` of the list. Returns the pool_size-deep retrieval of the
+    best accepted query and the per-iteration trace. A refiner or retrieval
+    failure ends the loop with the best set so far (an empty list when
+    iteration 0 fails) and is named in `trace.error`. A config of another
+    category than the target's raises UsageError.
     """
     if config.category != target.category:
         raise UsageError(f"config category {config.category!r} is not the "
                          f"target's, {target.category!r}")
-    subgroups = store.schema(target.category).subgroups
-    goal = target.target.probabilities
+    meter = ExposureMeter(store, index, target, config.k)
     trace = RefinementTrace(query_id=query_id, category=target.category,
                             terminal_reason="max-iterations")
-    # distinct terms in first-occurrence order -> (ranked, eps, shares, delta)
+    # query_terms -> (ranked, eps, shares, delta)
     measured = {}
     for iteration in range(config.max_iterations + 1):
         subgroup, step = None, Refinement(query)
         try:
             if iteration:
-                subgroup = most_underrepresented(best_eps.probabilities, goal,
-                                                 subgroups)
+                subgroup = meter.most_underrepresented(best_eps)
                 step = refiner.refine(query, target, best_eps, config.k,
                                       subgroup)
-            terms = tuple(dict.fromkeys(tokenize(step.query)))
+            terms = query_terms(step.query)
             if terms not in measured:
-                ranked = retrieve(index, step.query, config.pool_size, query_id)
-                eps = exposure(ranked, store, target.category, config.k)
+                ranked = retrieve_terms(index, terms, config.pool_size,
+                                        query_id)
+                eps, delta = meter.measure(ranked)
                 measured[terms] = (ranked, eps,
-                                   tuple(eps.probabilities.tolist()),
-                                   kl_divergence(eps.probabilities, goal))
+                                   tuple(eps.probabilities.tolist()), delta)
             ranked, eps, shares, delta = measured[terms]
         except (RefinerError, EmptyQueryError, DegenerateExposureError) as exc:
             trace.error = f"{type(exc).__name__}: {exc}"

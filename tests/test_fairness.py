@@ -100,6 +100,13 @@ class TestExposure:
                         missing_doc="unknown")
         assert dist.probabilities.tolist() == [0.5, 0.0, 0.5]
 
+    @pytest.mark.parametrize("ids", [["d1"], ["d1", "ghost"]],
+                             ids=["known-ids", "id-outside-corpus"])
+    def test_misspelled_missing_doc_is_usage_error(self, ids):
+        store = store_of({"d1": ["male"]})
+        with pytest.raises(UsageError, match="not 'unkown'"):
+            exposure(ranking(ids), store, "gender", 10, missing_doc="unkown")
+
     def test_unknown_category_raises(self):
         store = store_of({"d1": ["male"]})
         with pytest.raises(CorpusLookupError):

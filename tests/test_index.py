@@ -417,6 +417,11 @@ class TestDenseGains:
         again = index._query_terms(["at", "every"])
         assert [hit[3] is None for hit in first] == [False, True, False]
         assert again[0][3] is first[2][3] and again[1][3] is first[0][3]
+        # each term's largest gain, as a Python float, for MaxScore
+        assert [hit[0] for hit in first] == [
+            index.max_gains[index.vocabulary[t]] for t in ("every", "below",
+                                                           "at")]
+        assert all(type(hit[0]) is float for hit in first)
         for _, positions, gains, dense in first[::2]:
             assert not dense.flags.writeable
             expected = np.zeros(index.n_documents)
@@ -429,7 +434,7 @@ class TestDenseGains:
         with np.load(tmp_path / "index.npz") as npz:
             assert sorted(npz.files) == ["indptr", "meta", "positions", "tf"]
         loaded = load_index(tmp_path / "index.npz")
-        assert loaded == index and loaded._dense == {}
+        assert loaded == index and loaded._dense == loaded._entries == {}
 
 
 class TestDocTerms:

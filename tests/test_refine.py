@@ -11,13 +11,17 @@ import tracemalloc
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.error import HTTPError, URLError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairqr.corpus import GroupSchema, ingest_corpus
 from fairqr.errors import (
+    CorpusLookupError,
     LexiconError,
     ParseError,
     RefinerError,
@@ -31,7 +35,7 @@ from fairqr.fairness import (
     kl_divergence,
     target_from_qrels,
 )
-from fairqr.index import build_index, retrieve
+from fairqr.index import build_index, retrieve, retrieve_terms
 from fairqr.llm import ChatCompletionClient
 from fairqr.refine import (
     DEFAULT_PROMPT_TEMPLATE,
@@ -45,6 +49,7 @@ from fairqr.refine import (
 )
 
 SUBS = ("male", "female", "Unknown")
+WORDS = ("solar", "power", "wind", "grid", "women", "men", "plant")
 
 
 def make_target(probs, category="gender"):
@@ -341,15 +346,15 @@ class TestFairQRLoop:
         config = RefinerConfig(category="gender", pool_size=3, k=3)
         retrieved = []
 
-        def counting_retrieve(index, query, *args):
-            retrieved.append(query)
-            return retrieve(index, query, *args)
+        def counting_retrieve(index, terms, *args):
+            retrieved.append(terms)
+            return retrieve_terms(index, terms, *args)
 
         class Fixed:
             def refine(self, query, target, current, top_k, subgroup):
                 return Refinement(refined)
 
-        monkeypatch.setattr("fairqr.refine.retrieve", counting_retrieve)
+        monkeypatch.setattr("fairqr.refine.retrieve_terms", counting_retrieve)
         ranked, trace = fair_qr(
             index, store, "solar power", TARGET, config, Fixed(), "q1"
         )
@@ -509,9 +514,9 @@ class TestFairQRLoop:
 
         def slow_retrieve(*args):
             time.sleep(0.002)
-            return retrieve(*args)
+            return retrieve_terms(*args)
 
-        monkeypatch.setattr("fairqr.refine.retrieve", slow_retrieve)
+        monkeypatch.setattr("fairqr.refine.retrieve_terms", slow_retrieve)
         refiner = LLMRefiner(
             ChatCompletionClient("http://stub", "m", transport=transport), SUBS)
         config = RefinerConfig(category="gender", pool_size=20, k=20)
@@ -535,6 +540,105 @@ class TestFairQRLoop:
         assert len(pairs) >= 20
         for prev, record in pairs:
             assert record.raw_response == reply(prev.query, record.subgroup)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_records_equal_the_public_measurements(self, data):
+        # multi-label and unlabeled documents, every pool from 1 to the
+        # corpus size, and k below and above the retrieved length
+        labels = st.sampled_from([[], ["male"], ["female"], ["male", "female"],
+                                  ["female", "Unknown"]])
+        texts = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
+        docs = data.draw(st.lists(st.tuples(texts, labels), min_size=1,
+                                  max_size=12))
+        store = ingest_corpus(
+            [{"id": f"d{i:02d}", "text": text, "groups": {"gender": subs}}
+             for i, (text, subs) in enumerate(docs)],
+            [GroupSchema("gender", SUBS)])
+        index = build_index(store)
+        pool = data.draw(st.integers(1, len(docs)))
+        config = RefinerConfig(category="gender", pool_size=pool,
+                               k=data.draw(st.integers(1, pool)))
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=3,
+                                     max_size=3).filter(any))
+        target = make_target([w / sum(weights) for w in weights])
+        query = " ".join(data.draw(st.lists(st.sampled_from(WORDS),
+                                            min_size=1, max_size=3)))
+        lexicon = {"male": ["men", "plant"], "female": ["women", "grid"],
+                   "Unknown": ["wind"]}
+        ranked, trace = fair_qr(index, store, query, target, config,
+                                LexiconRefiner(lexicon), "q1")
+        for record in trace.records:
+            fresh = exposure(retrieve(index, record.query, pool, "q1"), store,
+                             "gender", config.k)
+            assert record.exposure == tuple(fresh.probabilities.tolist())
+            assert record.divergence == kl_divergence(
+                fresh.probabilities, target.target.probabilities)
+        if trace.records:
+            best = [r for r in trace.records if r.accepted][-1]
+            assert ranked == retrieve(index, best.query, pool, "q1")
+
+    def test_index_document_outside_the_store_raises_in_a_top_k(self):
+        store, _ = small_collection()
+        records = [{"id": "ghost", "text": "wind solar", "groups": {}}]
+        records += [{"id": d, "text": store.texts[row]}
+                    for d, row in store.rows.items()]
+        index = build_index(ingest_corpus(records, [GroupSchema("gender",
+                                                                SUBS)]))
+        config = RefinerConfig(category="gender", pool_size=3, k=3)
+        refiner = LexiconRefiner({"female": ["women"], "male": ["plant"]})
+        # "ghost" is in no top 3 of these queries: the loop runs as usual
+        _, trace = fair_qr(index, store, "power", TARGET, config, refiner,
+                           "q1")
+        assert trace.terminal_reason != "error" and trace.records
+        with pytest.raises(CorpusLookupError,
+                           match="unknown document id 'ghost'"):
+            fair_qr(index, store, "wind", TARGET, config, refiner, "q1")
+
+    def test_concurrent_first_use_matches_sequential(self, synth):
+        # threads race to derive each new index's per-term entries and the
+        # new store's rows aligned to that index
+        config = RefinerConfig(category="gender", pool_size=20, k=20)
+        refiner = LexiconRefiner(synth["lexicon"])
+        items = [(query_id, qtext,
+                  target_from_qrels(synth["qrels"], synth["store"], query_id,
+                                    "gender"))
+                 for query_id, qtext in synth["queries"]]
+
+        def loop(index, store, item):
+            query_id, qtext, target = item
+            ranked, trace = fair_qr(index, store, qtext, target, config,
+                                    refiner, query_id)
+            return ranked, trace.to_dict()
+
+        def derived(index, store):
+            entries = {term: (hit[0], hit[1].tobytes(), hit[2].tobytes(),
+                              None if hit[3] is None else hit[3].tobytes())
+                       for term, hit in index._entries.items()}
+            assert all(hit[3] is index._dense.get(index.vocabulary[term])
+                       for term, hit in index._entries.items())
+            aligned = [(category, entry[1].tobytes(), entry[2])
+                       for (category, _), entry in store._aligned.items()]
+            return entries, aligned
+
+        sequential = build_index(synth["store"]), replace(synth["store"])
+        expected = [loop(*sequential, item) for item in items]
+        expected_derived = derived(*sequential)
+        assert len(expected_derived[1]) == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                index, store = build_index(synth["store"]), replace(
+                    synth["store"])
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(loop, index, store, item)
+                               for item in items * 2]
+                    assert [f.result(timeout=60)
+                            for f in futures] == expected * 2
+                assert derived(index, store) == expected_derived
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_deterministic_end_to_end(self, synth):
         store, index = synth["store"], synth["index"]
