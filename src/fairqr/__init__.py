@@ -20,7 +20,6 @@ from .evaluation import (
     composite,
     evaluate_run,
     ndcg_at_k,
-    paired_t_test,
 )
 from .fairness import (
     ExposureDistribution,
@@ -59,7 +58,6 @@ __all__ = [
     "CorpusStore", "GroupSchema", "UNKNOWN", "ingest_corpus", "load_corpus",
     "tokenize",
     "RunReport", "compare_runs", "composite", "evaluate_run", "ndcg_at_k",
-    "paired_t_test",
     "ExposureDistribution", "FairnessTarget", "awrf", "exposure",
     "js_divergence", "kl_divergence", "most_underrepresented",
     "target_from_qrels",

@@ -1,10 +1,11 @@
 """Command-line experiment driver.
 
 Subcommands: `gen` (synthetic corpus), `index`, `run` (bm25 | fairqr |
-fairqr-norerank | mmr), `eval`. Configuration is a JSON document holding
-any of CONFIG_FIELDS; a subcommand takes a flag for each field it reads
-(COMMAND_FIELDS), which overrides the file. Exit codes: 0 success,
-1 usage error, 2 data error, 3 refiner/transport failure after degradation.
+fairqr-norerank | mmr), `eval` (`--run-b` adds a paired randomization test).
+Configuration is a JSON document holding any of CONFIG_FIELDS; a subcommand
+takes a flag for each field it reads (COMMAND_FIELDS), which overrides the
+file. Exit codes: 0 success, 1 usage error, 2 data error, 3 refiner/transport
+failure after degradation.
 """
 from __future__ import annotations
 
@@ -395,8 +396,8 @@ def cmd_eval(args) -> int:
             shared = len({r.query_id for r in report.rows}
                          & {r.query_id for r in report_b.rows})
             print(f"note: the runs share {shared} scored "
-                  f"{'query' if shared == 1 else 'queries'}; no t-test was "
-                  f"run (it needs 2)", file=sys.stderr)
+                  f"{'query' if shared == 1 else 'queries'}; no randomization "
+                  f"test was run (it needs 2)", file=sys.stderr)
     text = report_to_text(report)
     if config.get("out"):
         os.makedirs(config["out"], exist_ok=True)
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one or two run files")
     p_eval.add_argument("run", help="TREC run file to evaluate")
-    p_eval.add_argument("--run-b", help="second run for paired t-test")
+    p_eval.add_argument("--run-b", help="second run for a randomization test")
     _add_config_flags(p_eval, "eval")
     p_eval.set_defaults(func=cmd_eval)
     return parser

@@ -1,4 +1,5 @@
-"""Relevance/fairness evaluation: nDCG@k, AWRF@k, products, paired t-test.
+"""Relevance/fairness evaluation: nDCG@k, AWRF@k, products, and a paired
+sign-flip randomization test between two runs.
 
 nDCG uses linear gain (grade / log2(rank + 1)) with the ideal ordering taken
 over all judged relevant documents, truncated at k.
@@ -37,66 +38,38 @@ def composite(ndcg: float, awrf_value: float) -> float:
     return ndcg * awrf_value
 
 
-def paired_t_test(a, b) -> tuple[float, float]:
-    """Paired two-tailed t-test; returns (t, p).
+SIGN_FLIPS = 16_384  # sign vectors: all 2**n up to this many, else drawn
 
-    t = mean(d) / (sd(d) / sqrt(n)) with sample sd; p from the Student-t
-    distribution with n-1 degrees of freedom via the regularized incomplete
-    beta function. Equal differences (or a spread too small for its square
-    to be a float) degenerate to (0, 1) when the mean is zero, else
-    (signed inf, 0).
+
+def _sign_flip_test(a, b) -> tuple[float, float]:
+    """Paired two-sided sign-flip randomization test: (mean of d = a - b, p).
+
+    p is the share of sign vectors s with |sum(s * d)| >= |sum(d)| less
+    1e-9 * sum(|d|), so that rounding drops no tie. All 2**n vectors are
+    tried while 2**n <= SIGN_FLIPS; above that SIGN_FLIPS are drawn from a
+    fixed seed and p = (1 + hits) / (1 + SIGN_FLIPS): never 0, and the same
+    on every run.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise UsageError(f"length mismatch: {a.shape} vs {b.shape}")
-    n = a.size
-    if n < 2:
-        raise UsageError("need at least 2 paired observations")
-    d = a - b
-    mean = d.mean()
-    sd = d.std(ddof=1)
-    if np.ptp(d) == 0.0 or sd == 0.0:
-        if mean == 0.0:
-            return 0.0, 1.0
-        return math.copysign(math.inf, mean), 0.0
-    t = float(mean / (sd / math.sqrt(n)))
-    df = n - 1
-    return t, _betainc(df / 2.0, 0.5, df / (df + t * t))
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by its continued fraction
-    (Numerical Recipes, 3rd ed., 6.4), taken on the side where it converges
-    fast. Relative error about 1e-12, growing with a: 5e-10 at a = 5e5."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if x < (a + 1.0) / (a + b + 2.0):
-        return _beta_fraction(a, b, x)
-    return 1.0 - _beta_fraction(b, a, 1.0 - x)
-
-
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x)) / a
-    tiny = 1e-300  # keeps the modified Lentz recurrences off zero
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > tiny else tiny)
-    h = d
-    for m in range(1, 10_000):  # converges in O(sqrt(max(a, b))) steps
-        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                    -(a + m) * (a + b + m) * x
-                    / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > tiny else tiny)
-            c = 1.0 + num / c
-            c = c if abs(c) > tiny else tiny
-            h *= d * c
-        if abs(d * c - 1.0) < 1e-15:
-            break
-    return front * h
+    if len(a) != len(b) or len(a) < 2:
+        raise UsageError("need at least 2 paired observations, got "
+                         f"{len(a)} and {len(b)}")
+    d = np.subtract(a, b, dtype=float)
+    n, total = d.size, d.sum()
+    bound = abs(total) - 1e-9 * np.abs(d).sum()
+    exact = 2 ** n <= SIGN_FLIPS
+    draws = 2 ** n if exact else SIGN_FLIPS
+    rows = max(1, (1 << 20) // (8 * n))  # about 1 MB of signs a block
+    rng, hits = np.random.default_rng(0), 0
+    for start in range(0, draws, rows):
+        size = min(rows, draws - start)
+        if exact:  # row r's bits are the binary digits of r
+            bits = (np.arange(start, start + size)[:, None] >> np.arange(n)) & 1
+        else:
+            bits = rng.integers(0, 2, (size, n), dtype=np.uint8)
+        # sum(s * d) is sum(d) less twice the sum of the flipped (bit 1) d
+        hits += int(np.count_nonzero(np.abs(total - 2 * (bits @ d)) >= bound))
+    return float(d.mean()), (hits / draws if exact
+                             else (1 + hits) / (1 + SIGN_FLIPS))
 
 
 @dataclass(frozen=True)
@@ -114,7 +87,7 @@ class RunReport:
     rows: list[QueryRow] = field(default_factory=list)
     excluded: list[str] = field(default_factory=list)
     missing: list[str] = field(default_factory=list)  # judged, not in the run
-    # {"comparison_run": path, "metrics": {metric: {"t": t, "p": p}}}
+    # {"comparison_run": path, "metrics": {metric: {"mean_diff", "p"}}}
     significance: dict | None = None
 
     @property
@@ -164,9 +137,10 @@ def evaluate_run(
 
 def compare_runs(report: RunReport, other: RunReport,
                  name: str) -> dict | None:
-    """Paired t-tests of nDCG@k and AWRF@k between two reports of one
-    experiment, over the queries both scored, as `RunReport.significance`
-    against the run called `name`; None below 2 shared queries."""
+    """Paired sign-flip randomization tests of nDCG@k and AWRF@k between two
+    reports of one experiment, over the queries both scored, as
+    `RunReport.significance` against the run called `name`; None below 2
+    shared queries."""
     theirs = {r.query_id: r for r in other.rows}
     pairs = [(r, theirs[r.query_id]) for r in report.rows
              if r.query_id in theirs]
@@ -175,9 +149,9 @@ def compare_runs(report: RunReport, other: RunReport,
     metrics = {}
     for metric, attr in ((f"ndcg@{report.k}", "ndcg"),
                          (f"awrf@{report.k}.{report.category}", "awrf")):
-        t, p = paired_t_test([getattr(a, attr) for a, _ in pairs],
-                             [getattr(b, attr) for _, b in pairs])
-        metrics[metric] = {"t": t, "p": p}
+        mean_diff, p = _sign_flip_test([getattr(a, attr) for a, _ in pairs],
+                                       [getattr(b, attr) for _, b in pairs])
+        metrics[metric] = {"mean_diff": mean_diff, "p": p}
     return {"comparison_run": name, "metrics": metrics}
 
 
@@ -222,8 +196,9 @@ def report_to_text(report: RunReport) -> str:
         rendered.append(f"missing ({len(report.missing)}): "
                         + ", ".join(report.missing))
     if report.significance is not None:
-        rendered.append("paired t-test vs "
+        rendered.append("paired randomization test vs "
                         f"{report.significance['comparison_run']}:")
         for name, test in report.significance["metrics"].items():
-            rendered.append(f"  {name}: t={test['t']:.4f} p={test['p']:.4f}")
+            rendered.append(f"  {name}: mean diff={test['mean_diff']:+.4f} "
+                            f"p={test['p']:.3g}")
     return "\n".join(rendered) + "\n"

@@ -133,10 +133,9 @@ class InvertedIndex:
     `corpus_digest` of the corpus the index was built from. `avgdl`, `gains`
     and `max_gains` (each term's largest gain, 0.0 for a term without
     postings) are derived from the other fields, and `doc_terms` and each
-    query term's entry (`_query_terms`; a common term's dense gains are
-    also in `_dense`) from the postings on first use. Every array is
-    read-only, so concurrent retrieval is safe; `==` compares the persisted
-    fields.
+    query term's entry (`_query_terms`) from the postings on first use.
+    Every array is read-only, so concurrent retrieval is safe; `==`
+    compares the persisted fields.
     """
 
     doc_ids: tuple[str, ...]
@@ -148,8 +147,6 @@ class InvertedIndex:
     avgdl: float = field(init=False)
     gains: np.ndarray = field(init=False, repr=False)
     max_gains: np.ndarray = field(init=False, repr=False)
-    _dense: dict[int, np.ndarray] = field(init=False, repr=False,
-                                          default_factory=dict)
     _entries: dict[str, tuple] = field(init=False, repr=False,
                                        default_factory=dict)
 
@@ -273,9 +270,8 @@ class InvertedIndex:
         largest gain is a Python float. A common term, one in at least an
         eighth of the documents, has dense gains: its gain at every document
         position, 0.0 where it is absent (8 bytes a document, at most 64 a
-        posting of the term), also kept in `_dense` by term id; a rarer term
-        has None. Threads that race on a first use derive equal entries, and
-        one is kept.
+        posting of the term); a rarer term has None. Threads that race on a
+        first use derive equal entries, and one is kept.
         """
         hits = []
         for term in dict.fromkeys(terms):
@@ -299,7 +295,6 @@ class InvertedIndex:
             dense = np.zeros(self.n_documents)
             dense[positions] = gains
             dense.flags.writeable = False
-            dense = self._dense.setdefault(t, dense)
         return (float(self.max_gains[t]), positions, gains, dense)
 
 

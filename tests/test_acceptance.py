@@ -17,10 +17,10 @@ from fairqr.cli import main
 from fairqr.corpus import load_corpus, tokenize
 from fairqr.errors import RefinerError
 from fairqr.evaluation import (
+    _sign_flip_test,
     composite,
     evaluate_run,
     ndcg_at_k,
-    paired_t_test,
 )
 from fairqr.fairness import (
     ExposureDistribution,
@@ -109,9 +109,9 @@ def test_criterion_1_metric_oracles():
     qrels = {"q1": {"d1": 2, "d2": 1}}
     ranked = make_ranked_list("q1", [("d2", 2.0), ("d1", 1.0)])
     checks.append(abs(ndcg_at_k(ranked, qrels, "q1", 2) - 0.85972) < 1e-4)
-    t, p = paired_t_test([1, 2, 3, 4, 5], [2, 2, 4, 4, 6])
-    checks.append(abs(t - (-2.449)) < 1e-3)
-    checks.append(abs(p - 0.0705) < 1e-3)
+    mean_diff, p = _sign_flip_test([1, 2, 3, 4, 5], [2, 2, 4, 4, 6])
+    checks.append(abs(mean_diff - (-0.6)) < 1e-12)
+    checks.append(p == 0.25)
 
     rng = np.random.default_rng(42)
     for _ in range(1000):

@@ -463,7 +463,7 @@ class TestStaleInputs:
 
 
 class TestEvalCmd:
-    def test_self_comparison_t_zero(self, workspace, tmp_path, capsys):
+    def test_self_comparison_p_one(self, workspace, tmp_path, capsys):
         data = workspace["data"]
         run = workspace["runs"] / "run-bm25.txt"
         assert main(["eval", str(run), "--run-b", str(run),
@@ -475,8 +475,7 @@ class TestEvalCmd:
             (tmp_path / "report-run-bm25.json").read_text()
         )
         for metric in report["significance"]["metrics"].values():
-            assert metric["t"] == 0.0
-            assert metric["p"] == 1.0
+            assert metric == {"mean_diff": 0.0, "p": 1.0}
 
     def test_unknown_doc_ids_degrade(self, workspace, tmp_path, capsys):
         # ghost ids score as non-relevant with all exposure on Unknown
@@ -556,7 +555,7 @@ def _row(query_id, ndcg, awrf, product):
 class TestReportBytes:
     """The exact bytes of `eval`'s reports where the golden experiment does
     not reach: no rows, excluded queries, judged queries the run lacks, and
-    a comparison run sharing too few queries for a t-test."""
+    a comparison run sharing too few queries for a randomization test."""
 
     RUNS = {
         "empty.txt": "",
@@ -595,8 +594,8 @@ class TestReportBytes:
     EMPTY_JSON = {"aggregates": {}, "excluded": [], "k": 2,
                   "missing": ["q1", "q2"], "rows": []}
 
-    UNPAIRED_NOTE = ("note: the runs share 1 scored query; no t-test was "
-                     "run (it needs 2)\n")
+    UNPAIRED_NOTE = ("note: the runs share 1 scored query; no randomization "
+                     "test was run (it needs 2)\n")
 
     @pytest.mark.parametrize("run, flags, text, report, note", [
         ("empty.txt", ["--targets", "targets.json"],
@@ -650,7 +649,7 @@ class TestStartup:
         src = os.path.dirname(os.path.dirname(fairqr.__file__))
         data, runs = workspace["data"], workspace["runs"]
         # run-b loses q00's top 10, so the per-query differences vary and
-        # the t-test reaches its p-value
+        # p falls strictly between 0 and 1
         rows = [line.split() for line in
                 (runs / "run-bm25.txt").read_text().splitlines()]
         run_b = tmp_path / "run-b.txt"
@@ -672,7 +671,7 @@ class TestStartup:
         assert out.splitlines()[-1] == "0 []"
         report = json.loads((tmp_path / "report-run-fairqr.json").read_text())
         ndcg = report["significance"]["metrics"]["ndcg@20"]
-        assert math.isfinite(ndcg["t"]) and 0.0 < ndcg["p"] < 1.0
+        assert math.isfinite(ndcg["mean_diff"]) and 0.0 < ndcg["p"] < 1.0
 
 
 class TestUsage:

@@ -1,19 +1,24 @@
+import itertools
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
 
 from fairqr.corpus import GroupSchema, ingest_corpus
 from fairqr.errors import RunFileError, UsageError
 from fairqr.evaluation import (
+    SIGN_FLIPS,
+    QueryRow,
+    RunReport,
+    _sign_flip_test,
+    compare_runs,
     composite,
     evaluate_run,
     ndcg_at_k,
-    paired_t_test,
     report_to_dict,
     report_to_text,
 )
@@ -104,68 +109,110 @@ class TestComposite:
         assert composite(0.6530, 0.9316) == pytest.approx(0.6083, abs=1e-4)
 
 
-class TestPairedTTest:
+def brute_force_p(a, b):
+    """The exact sign-flip p, one sign vector of itertools.product at a
+    time."""
+    d = [x - y for x, y in zip(a, b)]
+    bound = abs(sum(d)) - 1e-9 * sum(abs(x) for x in d)
+    signs = list(itertools.product((1, -1), repeat=len(d)))
+    hits = sum(abs(sum(s * x for s, x in zip(flip, d))) >= bound
+               for flip in signs)
+    return hits / len(signs)
+
+
+def paired_samples(max_size):
+    return st.lists(st.tuples(st.floats(-10, 10, allow_nan=False),
+                              st.floats(-10, 10, allow_nan=False)),
+                    min_size=2, max_size=max_size)
+
+
+class TestSignFlipTest:
     def test_identical_samples(self):
-        assert paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0.0, 1.0)
+        assert _sign_flip_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0.0, 1.0)
+        assert _sign_flip_test([0.5] * 20, [0.5] * 20) == (0.0, 1.0)
 
     def test_hand_computed(self):
-        t, p = paired_t_test([1, 2, 3, 4, 5], [2, 2, 4, 4, 6])
-        assert t == pytest.approx(-2.449, abs=1e-3)
-        assert p == pytest.approx(0.0705, abs=1e-3)
-
-    def test_matches_reference_implementation(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(0.5, 0.2, 47)
-        b = a + rng.normal(0.02, 0.05, 47)
-        t, p = paired_t_test(a, b)
-        expected = stats.ttest_rel(a, b)
-        assert t == pytest.approx(expected.statistic, abs=1e-10)
-        assert p == pytest.approx(expected.pvalue, abs=1e-10)
+        # d = (-1, 0, -1, 0, -1): |sum| reaches 3 when the three -1s share
+        # a sign, 2 of 8 ways, whatever the zeros' signs
+        mean_diff, p = _sign_flip_test([1, 2, 3, 4, 5], [2, 2, 4, 4, 6])
+        assert mean_diff == pytest.approx(-0.6, abs=1e-12)
+        assert p == 0.25
 
     def test_constant_nonzero_shift(self):
-        t, p = paired_t_test([1.0, 2.0], [0.0, 1.0])
-        assert math.isinf(t) and t > 0
-        assert p == 0.0
+        assert _sign_flip_test([1.0, 2.0], [0.0, 1.0]) == (1.0, 0.5)
 
-    def test_equal_differences_are_zero_variance(self):
-        # the mean of three 0.1s is not 0.1, so the sample sd is about 1e-17
-        assert paired_t_test([0.1] * 3, [0.0] * 3) == (math.inf, 0.0)
-        assert paired_t_test([0.0] * 3, [0.1] * 3) == (-math.inf, 0.0)
-
-    @pytest.mark.parametrize("n, noise", [
-        (3, 1e-7), (5, 1e-4), (10, 1e-3), (30, 0.05), (200, 0.2)])
-    def test_tiny_p_keeps_relative_accuracy(self, n, noise):
-        rng = np.random.default_rng(n)
-        a = 1.0 + rng.normal(0.0, noise, n)
-        b = rng.normal(0.0, noise, n)
-        t, p = paired_t_test(a, b)
-        expected = 2.0 * stats.t.sf(abs(t), n - 1)
-        assert 0.0 < expected < 1e-12
-        assert p == pytest.approx(expected, rel=1e-9)
+    def test_equal_differences_keep_rounded_ties(self):
+        # only the unflipped and the all-flipped vector reach |sum(d)|
+        mean_diff, p = _sign_flip_test([0.1] * 3, [0.0] * 3)
+        assert mean_diff == pytest.approx(0.1) and p == 0.25
+        mean_diff, p = _sign_flip_test([0.0] * 3, [0.1] * 3)
+        assert mean_diff == pytest.approx(-0.1) and p == 0.25
+        # here the all-flipped sum rounds to less than |sum(d)|, and only
+        # the tolerance keeps the tie: p would be 1/16
+        assert _sign_flip_test([0.1, 0.1, 0.1, 0.4], [0.0] * 4)[1] == 0.125
 
     def test_too_short_rejected(self):
         with pytest.raises(UsageError):
-            paired_t_test([1.0], [2.0])
+            _sign_flip_test([1.0], [2.0])
         with pytest.raises(UsageError):
-            paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
+            _sign_flip_test([1.0, 2.0], [1.0, 2.0, 3.0])
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-10, 10, allow_nan=False),
-                st.floats(-10, 10, allow_nan=False),
-            ),
-            min_size=2,
-            max_size=30,
-        )
-    )
+    def test_enumerates_while_every_sign_vector_fits(self):
+        # equal differences tie only at the two extreme sign vectors
+        assert 2 ** 14 == SIGN_FLIPS
+        assert _sign_flip_test([1.0] * 14, [0.0] * 14)[1] == 2 / 2 ** 14
+        hits = _sign_flip_test([1.0] * 15, [0.0] * 15)[1] * (1 + SIGN_FLIPS)
+        assert hits == pytest.approx(round(hits)) and hits >= 1
+
+    @given(paired_samples(10))
+    def test_exact_path_matches_brute_force(self, pairs):
+        a, b = zip(*pairs)
+        assert _sign_flip_test(a, b)[1] == brute_force_p(a, b)
+
+    @given(paired_samples(30))
     def test_antisymmetric(self, pairs):
-        a = [x for x, _ in pairs]
-        b = [y for _, y in pairs]
-        t_ab, p_ab = paired_t_test(a, b)
-        t_ba, p_ba = paired_t_test(b, a)
-        assert t_ab == -t_ba or (math.isinf(t_ab) and math.isinf(t_ba))
+        a, b = zip(*pairs)
+        mean_ab, p_ab = _sign_flip_test(a, b)
+        mean_ba, p_ba = _sign_flip_test(b, a)
+        assert mean_ab == -mean_ba
         assert p_ab == p_ba
+
+    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=15,
+                    max_size=60))
+    def test_sampled_path_is_deterministic_and_never_zero(self, a):
+        assert 2 ** len(a) > SIGN_FLIPS
+        b = [0.0] * len(a)
+        p = _sign_flip_test(a, b)[1]
+        assert _sign_flip_test(a, b)[1] == p
+        assert 1 / (1 + SIGN_FLIPS) <= p <= 1.0
+
+    def test_signs_are_drawn_in_bounded_blocks(self):
+        # 16_384 draws of 1_000 signs at once take 16 MB as bytes, 131 MB as
+        # the floats the product with the differences reads
+        rng = np.random.default_rng(3)
+        a, b = rng.random(1_000), rng.random(1_000)
+        tracemalloc.start()
+        try:
+            _sign_flip_test(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+def test_equal_nonzero_differences_give_a_finite_nonzero_p():
+    # Every query of the golden experiment gains the same AWRF over bm25;
+    # the t-test made that t=inf p=0, which reads as certainty. 20 queries
+    # take the sampled path, where p is at least 1 / (1 + SIGN_FLIPS).
+    rows = [QueryRow(f"q{i:02d}", 1.0, 0.75, 0.75) for i in range(20)]
+    other = [QueryRow(row.query_id, 1.0, 0.5, 0.5) for row in rows]
+    significance = compare_runs(RunReport(20, "gender", rows),
+                                RunReport(20, "gender", other), "base")
+    metrics = significance["metrics"]
+    assert metrics["ndcg@20"] == {"mean_diff": 0.0, "p": 1.0}
+    assert metrics["awrf@20.gender"]["mean_diff"] == 0.25
+    p = metrics["awrf@20.gender"]["p"]
+    assert math.isfinite(p) and 0.0 < p <= 2 / (1 + SIGN_FLIPS)
 
 
 def three_query_fixture():

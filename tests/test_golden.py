@@ -15,8 +15,8 @@ from fairqr.cli import main
 
 GOLDEN = {
     "bm25/run-bm25.txt": "5da82de65de6fa0cc3cec88222d03da9f501f20d2826146f190bf1a8995a39f0",
-    "eval/report-run-fairqr.json": "555ce5a4acc318d5e86ca79229f89186f453997b437d4297787ea30d5252f74a",
-    "eval/report-run-fairqr.txt": "b74d03c7a1059e78a5d21ea6f3ceffbf428a2e8b653af47029abfae5e9278f21",
+    "eval/report-run-fairqr.json": "43db2a6f4489e95f75bf9527857617489ee674866f02fb8c9f623f48fb872ce3",
+    "eval/report-run-fairqr.txt": "defef3adddec52dcc5888e12a801b705c380b6dd4a4ca4608cd71fc910dcc900",
     "fairqr/run-fairqr.txt": "0b8f3021f30f5b5c045b07afdb095f99370b0cda74fe709ce85e72e105a179e8",
     "fairqr/traces/q00.json": "e76f6e6578c0f80e4ed054dd3c3006996049f12299f4aa1d2f830d92829cc307",
     "fairqr/traces/q01.json": "32ff5272d36d54bb7f425745e12b5ff2a07cac240edbf111bc03c3ba98716cc9",

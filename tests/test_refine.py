@@ -615,8 +615,6 @@ class TestFairQRLoop:
             entries = {term: (hit[0], hit[1].tobytes(), hit[2].tobytes(),
                               None if hit[3] is None else hit[3].tobytes())
                        for term, hit in index._entries.items()}
-            assert all(hit[3] is index._dense.get(index.vocabulary[term])
-                       for term, hit in index._entries.items())
             aligned = [(category, entry[1].tobytes(), entry[2])
                        for (category, _), entry in store._aligned.items()]
             return entries, aligned
