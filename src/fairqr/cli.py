@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import synthetic
-from .corpus import corpus_digest, load_corpus, open_utf8, tokenize
+from .corpus import load_corpus, open_utf8, tokenize
 from .errors import (
     FairQRError,
     IndexBuildError,
@@ -177,7 +177,7 @@ def _load_store_and_index(config):
     if not (path and os.path.exists(path)):
         return store, build_index(store)
     index = load_index(path)
-    if index.digest != corpus_digest(store):
+    if index.digest != store.digest:
         raise IndexBuildError(f"index file {path} was not built from corpus "
                               f"{config['corpus']}; rerun `fairqr index`")
     return store, index
@@ -205,6 +205,11 @@ def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
             if outside:
                 raise SchemaError(f"target for query {query_id!r} names "
                                   f"{outside}, not in category {category!r}")
+            for subgroup, mass in masses.items():
+                if type(mass) not in (int, float):  # a bool is no number
+                    raise FairQRError(f"target for query {query_id!r}: mass "
+                                      f"{mass!r} of {subgroup!r} is not a "
+                                      f"number")
             probs = [masses.get(s, 0.0) for s in schema.subgroups]
             try:
                 dist = ExposureDistribution(category, probs)

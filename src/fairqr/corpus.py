@@ -13,6 +13,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -92,28 +93,43 @@ class GroupSchema:
 
 @dataclass
 class CorpusStore:
-    """Immutable-after-ingestion document collection.
+    """Immutable-after-ingestion document collection, in doc-id order.
 
-    `rows` maps each document id to its row, in ingest order; `texts[row]`
-    is that document's text. `groups` holds one read-only (documents + 1) x
-    subgroups matrix per category: row i is the i-th ingested document's
-    membership vector, the last row (all mass on "Unknown") an id outside
-    the corpus. `rows_at` keeps, per category and index, the rows aligned
-    to the index's doc ids. Safe for concurrent reads once built; ingestion
-    is single-writer.
+    `rows` maps each document id to its row, the ids ascending, so a row is
+    also the document's position in an index built from the store;
+    `texts[row]` is that document's text. `groups` holds one read-only
+    (documents + 1) x subgroups matrix per category: row i is the i-th
+    id's membership vector, the last row (all mass on "Unknown") an id
+    outside the corpus. `digest` is derived on first use. Safe for
+    concurrent reads once built; ingestion is single-writer.
     """
 
     schemas: dict[str, GroupSchema]
     rows: dict[str, int] = field(default_factory=dict)
     texts: list[str] = field(default_factory=list)
     groups: dict[str, np.ndarray] = field(default_factory=dict)
-    # (category, id(doc_ids)) -> (doc_ids, aligned rows, missing positions)
-    _aligned: dict[tuple[str, int], tuple] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def n_documents(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the ids and texts, in id order.
+
+        The count, then the lengths of the ids, the ids, the lengths of the
+        texts and the texts: the lengths frame every string, so two corpora
+        that differ in any id or text digest differently, and two that list
+        the same records in another order digest alike.
+        """
+        ids, n = list(self.rows), self.n_documents
+        digest = hashlib.sha256(n.to_bytes(8, "little"))
+        for strings in (ids, self.texts):
+            digest.update(np.fromiter(map(len, strings), "<i8", n).tobytes())
+            for at in range(0, n, 1024):  # a bounded copy at a time
+                chunk = "".join(strings[at:at + 1024])
+                digest.update(chunk.encode("utf-8", "surrogatepass"))
+        return digest.hexdigest()
 
     def schema(self, category: str) -> GroupSchema:
         try:
@@ -139,34 +155,6 @@ class CorpusStore:
             raise CorpusLookupError(
                 f"unknown document id {exc.args[0]!r}") from None
 
-    def rows_at(self, category: str, doc_ids: tuple[str, ...],
-                positions: np.ndarray) -> np.ndarray:
-        """`group_rows(category, [doc_ids[i] for i in positions])`, read
-        without looking up an id.
-
-        `doc_ids` is an index's tuple. On first use for a category and that
-        tuple (by identity) the store derives and keeps a read-only matrix
-        whose row i is doc_ids[i]'s membership vector: 8 bytes × documents
-        × subgroups. An id outside the corpus raises CorpusLookupError only
-        when `positions` reach it.
-        """
-        key = (category, id(doc_ids))
-        entry = self._aligned.get(key)
-        if entry is None:
-            self.schema(category)  # CorpusLookupError for an unknown category
-            at = [self.rows.get(d, -1) for d in doc_ids]
-            matrix = self.groups[category][at]
-            matrix.flags.writeable = False
-            missing = frozenset(i for i, row in enumerate(at) if row < 0)
-            # the entry holds doc_ids, so no other tuple takes its id; racing
-            # threads derive equal entries, and one is kept
-            entry = self._aligned.setdefault(key, (doc_ids, matrix, missing))
-        _, matrix, missing = entry
-        if missing and not missing.isdisjoint(positions.tolist()):
-            # raises, naming the first id outside the corpus
-            return self.group_rows(category, [doc_ids[i] for i in positions])
-        return matrix.take(positions, axis=0)
-
 
 def ingest_corpus(
     records: Iterable[dict], schemas: Iterable[GroupSchema]
@@ -175,11 +163,13 @@ def ingest_corpus(
 
     A category's labels are a list of strings; an absent, null or empty one
     falls back to ["Unknown"]. Labels outside the schema and duplicate ids
-    are rejected.
+    are rejected. The records are read in their order, so an error names
+    the first record at fault; the documents are then put in id order.
     """
-    store = CorpusStore(schemas={s.category: s for s in schemas})
-    # per category: its schema, and the (row, column) of every label
-    marks = {c: (s, [], []) for c, s in store.schemas.items()}
+    schemas = {s.category: s for s in schemas}
+    rows, texts = {}, []  # in ingest order
+    # per category: its schema, and the (ingest row, column) of every label
+    marks = {c: (s, [], []) for c, s in schemas.items()}
     for line_no, record in enumerate(records, start=1):
         if not isinstance(record, dict):
             raise IngestionError("record is not an object", line_no)
@@ -189,13 +179,13 @@ def ingest_corpus(
             raise IngestionError("missing or invalid 'id'", line_no)
         if not isinstance(text, str):
             raise IngestionError("missing or invalid 'text'", line_no)
-        if doc_id in store.rows:
+        if doc_id in rows:
             raise IngestionError(f"duplicate document id {doc_id!r}", line_no)
         raw_groups = record.get("groups", {})
         if not isinstance(raw_groups, dict):
             raise IngestionError("'groups' must be an object", line_no)
-        row = len(store.texts)
-        for category, (schema, rows, cols) in marks.items():
+        row = len(texts)
+        for category, (schema, label_rows, cols) in marks.items():
             labels = raw_groups.get(category)
             if labels is None or labels == []:
                 labels = [UNKNOWN]
@@ -213,48 +203,26 @@ def ingest_corpus(
                         f"subgroup {label!r} not in category {category!r} "
                         f"(document {doc_id!r})"
                     )
-                rows.append(row)
+                label_rows.append(row)
                 cols.append(schema.subgroups.index(label))
-        store.rows[doc_id] = row
-        store.texts.append(text)
-    for category, (schema, rows, cols) in marks.items():
-        rows.append(len(store.texts))  # the row of an id outside the corpus
+        rows[doc_id] = row
+        texts.append(text)
+    n = len(texts)
+    ids = sorted(rows)  # the only sort: row i of the store is ids[i]
+    order = list(map(rows.__getitem__, ids))  # each id's ingest row
+    new_row = np.empty(n + 1, np.intp)  # each ingest row's store row
+    new_row[order + [n]] = np.arange(n + 1)  # row n: an id outside
+    store = CorpusStore(schemas, dict(zip(ids, range(n))),
+                        list(map(texts.__getitem__, order)))
+    for category, (schema, label_rows, cols) in marks.items():
+        label_rows.append(n)
         cols.append(schema.index(UNKNOWN))
-        shape = (len(store.texts) + 1, len(schema.subgroups))
+        shape = (n + 1, len(schema.subgroups))
         matrix = store.groups[category] = np.zeros(shape)
-        matrix[rows, cols] = 1.0  # a label listed twice counts once
+        matrix[new_row[label_rows], cols] = 1.0  # a label twice counts once
         matrix /= matrix.sum(axis=1, keepdims=True)
         matrix.flags.writeable = False  # shared by concurrent readers
     return store
-
-
-def texts_by_id(
-        store: CorpusStore) -> tuple[tuple[str, ...], list[str]]:
-    """The document ids, sorted, and their texts in that order."""
-    ids = tuple(sorted(store.rows))
-    return ids, list(map(store.texts.__getitem__,
-                         map(store.rows.__getitem__, ids)))
-
-
-def corpus_digest(store: CorpusStore) -> str:
-    """`texts_digest` of the corpus's ids and texts, in id order."""
-    return texts_digest(*texts_by_id(store))
-
-
-def texts_digest(ids, texts) -> str:
-    """sha256 of the ids and texts.
-
-    The count, then the lengths of the ids, the ids, the lengths of the texts
-    and the texts: the lengths frame every string, so two corpora that differ
-    in any id or text digest differently.
-    """
-    digest = hashlib.sha256(len(ids).to_bytes(8, "little"))
-    for strings in (ids, texts):
-        digest.update(np.fromiter(map(len, strings), "<i8", len(ids)).tobytes())
-        for at in range(0, len(ids), 1024):  # a bounded copy at a time
-            chunk = "".join(strings[at:at + 1024])
-            digest.update(chunk.encode("utf-8", "surrogatepass"))
-    return digest.hexdigest()
 
 
 def is_string_lists(data) -> bool:

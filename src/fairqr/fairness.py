@@ -79,8 +79,10 @@ class ExposureMeter:
     `exposure` and `kl_divergence` of the same list, float for float.
 
     What every measurement shares is derived once: the checks of k and of
-    the target's length, the smoothed target, and the store's rows aligned
-    to the index (`CorpusStore.rows_at`), so a measurement looks up no id.
+    the target's length, and the smoothed target. When the index was built
+    from the store (equal digests, so equal sorted ids) an index position
+    is a store row, and a measurement looks up no id; an index of another
+    corpus is read by id, through `CorpusStore.group_rows`.
     """
 
     def __init__(self, store: CorpusStore, index: InvertedIndex,
@@ -95,17 +97,22 @@ class ExposureMeter:
         self.smoothed_goal = _smoothed(self.goal, KL_SMOOTHING)
         self.store, self.index, self.k = store, index, k
         self.category = target.category
+        self.matrix = (store.groups[self.category]
+                       if index.digest == store.digest else None)
 
     def measure(self, ranked: RankedList
                 ) -> tuple[ExposureDistribution, float]:
         """(exposure at k, KL divergence from the target) of a ranked
         list; DegenerateExposureError when it is empty."""
-        top = self.index.positions_of(ranked)[:self.k]
-        if not len(top):
+        if not len(ranked):
             raise DegenerateExposureError(
                 f"empty ranked list for query {ranked.query_id!r}")
-        eps = ExposureDistribution(self.category, _mean(
-            self.store.rows_at(self.category, self.index.doc_ids, top)))
+        if self.matrix is None:
+            rows = self.store.group_rows(self.category, ranked.top_ids(self.k))
+        else:
+            rows = self.matrix.take(
+                self.index.positions_of(ranked)[:self.k], axis=0)
+        eps = ExposureDistribution(self.category, _mean(rows))
         return eps, _kl(_smoothed(eps.probabilities, KL_SMOOTHING),
                         self.smoothed_goal)
 

@@ -6,21 +6,22 @@ and zero-score exclusion is unambiguous.
 
 The index is columnar (CSR): term t's postings are rows indptr[t] to
 indptr[t + 1] of `positions` (documents, as positions in the sorted doc
-ids, ascending), `tf` and `gains` (each posting's BM25 gain), so a query's
+ids, ascending: an index built from a store has the store's rows as its
+positions), `tf` and `gains` (each posting's BM25 gain), so a query's
 scores are sums of gain slices. The counts are the persisted form; the gains
 are made from them a bounded chunk at a time, on build and on load alike.
 `retrieve` ranks the whole index; `InvertedIndex.scores` scores given
 documents and `InvertedIndex.ranked` lists them, for the re-rankers.
 
 On a query term's first use the index keeps an entry for it: views of its
-positions and gains, and its largest gain as a Python float, so the
-MaxScore ordering and bound read no NumPy scalars. A term in at least an
-eighth of the documents is looked up directly: its entry also holds its
-gain at every document position (0.0 where it is absent), a read-only
-vector of 8 bytes × documents that is never saved. The common terms'
-postings add up to at most all postings, so at most 8 × the mean distinct
-terms per document qualify. A rarer term is found in its postings by
-binary search.
+positions and gains, and its largest gain, taken from those gains as a
+Python float, so the MaxScore ordering and bound read no NumPy scalars. A
+term in at least an eighth of the documents is looked up directly: its
+entry also holds its gain at every document position (0.0 where it is
+absent), a read-only vector of 8 bytes × documents that is never saved.
+The common terms' postings add up to at most all postings, so at most 8 ×
+the mean distinct terms per document qualify. A rarer term is found in its
+postings by binary search.
 """
 from __future__ import annotations
 
@@ -35,13 +36,7 @@ from math import log
 
 import numpy as np
 
-from .corpus import (
-    CorpusStore,
-    texts_by_id,
-    texts_digest,
-    tokenize,
-    tokenize_many,
-)
+from .corpus import CorpusStore, tokenize, tokenize_many
 from .errors import (
     CorpusLookupError,
     EmptyQueryError,
@@ -129,11 +124,11 @@ def make_ranked_list(query_id: str, scored: list[tuple[str, float]]) -> RankedLi
 class InvertedIndex:
     """CSR postings plus the document statistics BM25 needs.
 
-    `doc_ids` are sorted; a posting's position indexes them. `digest` is
-    `corpus_digest` of the corpus the index was built from. `avgdl`, `gains`
-    and `max_gains` (each term's largest gain, 0.0 for a term without
-    postings) are derived from the other fields, and `doc_terms` and each
-    query term's entry (`_query_terms`) from the postings on first use.
+    `doc_ids` are sorted; a posting's position indexes them, and is the
+    document's row in the store the index was built from, whose
+    `CorpusStore.digest` is `digest`. `avgdl` and `gains` are derived from
+    the other fields, and `doc_terms` and each query term's entry
+    (`_query_terms`) from the postings on first use.
     Every array is read-only, so concurrent retrieval is safe; `==`
     compares the persisted fields.
     """
@@ -146,7 +141,6 @@ class InvertedIndex:
     digest: str
     avgdl: float = field(init=False)
     gains: np.ndarray = field(init=False, repr=False)
-    max_gains: np.ndarray = field(init=False, repr=False)
     _entries: dict[str, tuple] = field(init=False, repr=False,
                                        default_factory=dict)
 
@@ -184,11 +178,7 @@ class InvertedIndex:
             norm += self.tf[part]
             gains[part] /= norm
         self.gains = gains
-        self.max_gains = np.zeros(len(df))
-        nonempty = df > 0  # reduceat needs strictly rising starts
-        self.max_gains[nonempty] = np.maximum.reduceat(
-            gains, self.indptr[:-1][nonempty])
-        for name in _ARRAYS + ("gains", "max_gains"):
+        for name in _ARRAYS + ("gains",):
             getattr(self, name).flags.writeable = False  # shared by threads
 
     def __eq__(self, other):
@@ -295,19 +285,18 @@ class InvertedIndex:
             dense = np.zeros(self.n_documents)
             dense[positions] = gains
             dense.flags.writeable = False
-        return (float(self.max_gains[t]), positions, gains, dense)
+        return (float(gains.max()), positions, gains, dense)
 
 
 _BLOCK = 1024  # texts per tokenize_many call: few calls, a small block
 
 
 def build_index(store: CorpusStore) -> InvertedIndex:
+    """The index of the store's documents: its rows are the positions."""
     if store.n_documents == 0:
         raise IndexBuildError("cannot index an empty corpus")
-    doc_ids, texts = texts_by_id(store)
-    vocabulary, counts = _count_terms(texts)
-    return InvertedIndex(doc_ids, vocabulary, *counts,
-                         texts_digest(doc_ids, texts))
+    vocabulary, counts = _count_terms(store.texts)
+    return InvertedIndex(tuple(store.rows), vocabulary, *counts, store.digest)
 
 
 def _count_terms(texts: list[str]):

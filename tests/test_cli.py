@@ -381,7 +381,10 @@ class TestStaleInputs:
         {"male": 0.5, "female": 0.3, "other": 0.2},  # label outside schema
         ["male"],                                    # not subgroup masses
         {"male": math.nan, "female": 0.4},           # written as NaN
-        {"male": None, "female": 1.0},               # null reads as NaN
+        {"male": None, "female": 1.0},               # null is no number
+        {"female": {}},                              # an object
+        {"male": "0.5", "female": "0.5"},            # strings, not numbers
+        {"male": True, "female": 0},                 # a bool is no mass
     ])
     def test_invalid_explicit_target_is_data_error(self, workspace, tmp_path,
                                                    capsys, masses):

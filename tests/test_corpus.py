@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fairqr.corpus import (
     GroupSchema,
-    corpus_digest,
     ingest_corpus,
     load_corpus,
     read_jsonl,
@@ -244,9 +243,10 @@ class TestIngest:
         ]
         store = ingest_corpus(records, [GENDER])
         matrix = store.groups["gender"]
-        # ingest order, then the row of an id outside the corpus
-        assert [store.rows[d] for d in ("d2", "d1")] == [0, 1]
-        assert matrix.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        # id order, then the row of an id outside the corpus
+        assert store.rows == {"d1": 0, "d2": 1} and store.texts == ["b", "a"]
+        assert list(store.rows) == ["d1", "d2"]
+        assert matrix.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert not matrix.flags.writeable
 
     def test_memory_per_document(self):
@@ -267,7 +267,7 @@ class TestDigest:
     @staticmethod
     def digest(texts: dict[str, str]) -> str:
         records = [{"id": d, "text": t} for d, t in texts.items()]
-        return corpus_digest(ingest_corpus(records, [GENDER]))
+        return ingest_corpus(records, [GENDER]).digest
 
     def test_ignores_record_order(self):
         assert (self.digest({"d1": "a b", "d2": "c"})
@@ -281,6 +281,11 @@ class TestDigest:
     ])
     def test_sees_every_edit(self, edited):
         assert self.digest(edited) != self.digest({"d1": "a b", "d2": "c"})
+
+    def test_pinned_value(self):
+        # the bytes hashed are those of index version 3's digests
+        assert self.digest({"d2": "c", "d1": "a b"}) == (
+            "dede67e18e4759069795a92a4e397bd61d76bbc1db562c5ce18e9799d13d58dd")
 
     def test_lone_surrogate_digests(self):
         assert len(self.digest({"d1": "a \ud800 b"})) == 64

@@ -16,7 +16,7 @@ from bm25_reference import (
 )
 from mmr_reference import exhaustive_mmr
 from fairqr import index as index_module
-from fairqr.corpus import GroupSchema, corpus_digest, ingest_corpus, tokenize
+from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
 from fairqr.errors import (
     CorpusLookupError,
     EmptyQueryError,
@@ -60,8 +60,9 @@ class TestBuild:
 
     def test_arrays_are_read_only(self):
         index = build_index(make_store({"d1": "a b", "d2": "b"}))
+        _, positions, gains, _ = index._query_terms(["b"])[0]
         for array in (index.indptr, index.positions, index.tf, index.gains,
-                      index.max_gains):
+                      positions, gains):
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -89,7 +90,7 @@ class TestBuild:
         min_size=1, max_size=12))
     def test_matches_per_document_reference_across_blocks(self, texts):
         # two texts a block, so most documents' postings cross a block edge;
-        # ids out of ingest order, so sorting them moves texts
+        # ids out of ingest order, so ingestion moves texts to their rows
         store = make_store({f"d{(i * 37) % 101:03d}": t
                             for i, t in enumerate(texts)})
         with pytest.MonkeyPatch.context() as patch:
@@ -145,7 +146,7 @@ def assert_matches_reference(index, store):
             and index.positions.dtype == np.int32)
     assert (index.tf.tolist() == tf
             and index.tf.dtype == np.min_scalar_type(max(tf, default=1)))
-    assert index.digest == corpus_digest(store)
+    assert index.digest == store.digest
 
 
 def score_of(index, tokens, doc_ids):
@@ -423,8 +424,7 @@ class TestDenseGains:
         assert again[0][3] is first[2][3] and again[1][3] is first[0][3]
         # each term's largest gain, as a Python float, for MaxScore
         assert [hit[0] for hit in first] == [
-            index.max_gains[index.vocabulary[t]] for t in ("every", "below",
-                                                           "at")]
+            max(hit[2].tolist()) for hit in first]
         assert all(type(hit[0]) is float for hit in first)
         for _, positions, gains, dense in first[::2]:
             assert not dense.flags.writeable
@@ -533,11 +533,13 @@ class TestPersistence:
         rewrite(path, arrays)
         loaded = load_index(path)
         vocabulary = loaded.vocabulary
-        assert loaded.max_gains[vocabulary["zz"]] == 0.0
+        assert loaded._query_terms(["zz"]) == [] and loaded._entries == {
+            "zz": ()}
         for term in ("a", "b", "c"):
             t = vocabulary[term]
-            assert loaded.max_gains[t] == index.max_gains[index.vocabulary[term]]
-            assert loaded.max_gains[t] == loaded.gains[
+            [(largest, *_)] = loaded._query_terms([term])
+            assert largest == index._query_terms([term])[0][0]
+            assert largest == loaded.gains[
                 loaded.indptr[t]:loaded.indptr[t + 1]].max()
         for pool in (1, 2, 3):
             ranked = retrieve(loaded, "zz b a", pool)
