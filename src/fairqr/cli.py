@@ -147,8 +147,10 @@ def _read(path, parse, *args):
 def _load_queries(path) -> list[tuple[str, str]]:
     """Queries file: TSV lines `query_id<TAB>query text`; blank lines skipped.
 
-    A line without a tab, whose text tokenizes to nothing, or whose query id
-    an earlier line already used, is a data error.
+    A line without a tab, whose text tokenizes to nothing, whose query id a
+    run file line or a trace file name cannot hold (empty, or holding
+    whitespace, `/` or `\\`), or whose query id an earlier line already
+    used, is a data error.
     """
     queries = []
     first_line: dict[str, int] = {}
@@ -161,6 +163,11 @@ def _load_queries(path) -> list[tuple[str, str]]:
             if not (tab and tokenize(text)):
                 raise FairQRError(f"{path} line {number}: query {query_id!r} "
                                   f"has no searchable text after a tab")
+            if not query_id or any(c.isspace() or c in "/\\"
+                                   for c in query_id):
+                raise FairQRError(f"{path} line {number}: query id "
+                                  f"{query_id!r} is empty or holds "
+                                  f"whitespace, '/' or '\\'")
             if query_id in first_line:
                 raise FairQRError(f"{path} line {number}: query id "
                                   f"{query_id!r} repeats line "
@@ -315,6 +322,9 @@ def cmd_run(args) -> int:
     pool, k = config["pool_size"], config["k"]
     fair_modes = mode in ("fairqr", "fairqr-norerank")
     if fair_modes:
+        if not (config.get("qrels") or config.get("targets")):
+            raise UsageError(f"run {mode} needs fairness targets: give "
+                             f"--qrels or --targets")
         rcfg = RefinerConfig(
             category=config["category"],
             max_iterations=config["max_iterations"],

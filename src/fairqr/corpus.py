@@ -9,6 +9,7 @@ Documents missing a category's annotation fall back to the reserved
 """
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 from contextlib import contextmanager
@@ -236,11 +237,16 @@ def is_string_lists(data) -> bool:
 def open_utf8(path):
     """The file at `path`, open as UTF-8 text.
 
-    A byte that is not UTF-8 raises FairQRError naming the path and line.
-    The line is found only then, by decoding the file's bytes again, so a
-    file that decodes costs nothing more.
+    A leading byte-order mark, which would otherwise become part of the
+    first id or key, raises FairQRError at line 1. A byte that is not UTF-8
+    raises FairQRError naming the path and line. The line is found only
+    then, by decoding the file's bytes again, so a file that decodes costs
+    nothing more.
     """
     with open(path, encoding="utf-8") as fh:
+        if fh.buffer.peek(3).startswith(codecs.BOM_UTF8):
+            raise FairQRError(f"{path} line 1: starts with a UTF-8 "
+                              f"byte-order mark; save it without one")
         try:
             yield fh
         except UnicodeDecodeError:

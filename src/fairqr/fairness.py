@@ -13,6 +13,7 @@ import numpy as np
 from .corpus import CorpusStore
 from .errors import (
     DegenerateExposureError,
+    IndexBuildError,
     NoTargetError,
     UsageError,
 )
@@ -49,8 +50,9 @@ def exposure(
     category: str,
     k: int,
     missing_doc: str = "error",
-) -> ExposureDistribution:
-    """Exposure of the top-min(k, len) documents of a ranked list.
+) -> np.ndarray:
+    """Exposure of the top-min(k, len) documents of a ranked list: a
+    probability vector in the category's schema order.
 
     Each of the n documents weighs 1/n: the mean of their group vectors.
     missing_doc="unknown" counts an id outside the corpus as unlabeled
@@ -63,8 +65,7 @@ def exposure(
         raise DegenerateExposureError(
             f"empty ranked list for query {ranked.query_id!r}"
         )
-    return ExposureDistribution(
-        category, _mean(store.group_rows(category, top, missing_doc)))
+    return _mean(store.group_rows(category, top, missing_doc))
 
 
 def _mean(rows: np.ndarray) -> np.ndarray:
@@ -79,46 +80,41 @@ class ExposureMeter:
     `exposure` and `kl_divergence` of the same list, float for float.
 
     What every measurement shares is derived once: the checks of k and of
-    the target's length, and the smoothed target. When the index was built
-    from the store (equal digests, so equal sorted ids) an index position
-    is a store row, and a measurement looks up no id; an index of another
-    corpus is read by id, through `CorpusStore.group_rows`.
+    the target's length, and the smoothed target. The index must be built
+    from the store (equal digests, so equal sorted ids): an index position
+    is then a store row, and a measurement looks up no id. An index of
+    another corpus raises IndexBuildError, as `fairqr run` does.
     """
 
     def __init__(self, store: CorpusStore, index: InvertedIndex,
                  target: FairnessTarget, k: int):
         if k < 1:
             raise UsageError("k must be >= 1")
+        if index.digest != store.digest:
+            raise IndexBuildError("the index was not built from this corpus; "
+                                  "rerun `fairqr index`")
         self.subgroups = store.schema(target.category).subgroups
         self.goal = target.target.probabilities
         if self.goal.shape != (len(self.subgroups),):
             raise UsageError(f"length mismatch: {(len(self.subgroups),)} vs "
                              f"{self.goal.shape}")
         self.smoothed_goal = _smoothed(self.goal, KL_SMOOTHING)
-        self.store, self.index, self.k = store, index, k
-        self.category = target.category
-        self.matrix = (store.groups[self.category]
-                       if index.digest == store.digest else None)
+        self.matrix = store.groups[target.category]
+        self.index, self.k = index, k
 
-    def measure(self, ranked: RankedList
-                ) -> tuple[ExposureDistribution, float]:
+    def measure(self, ranked: RankedList) -> tuple[np.ndarray, float]:
         """(exposure at k, KL divergence from the target) of a ranked
         list; DegenerateExposureError when it is empty."""
         if not len(ranked):
             raise DegenerateExposureError(
                 f"empty ranked list for query {ranked.query_id!r}")
-        if self.matrix is None:
-            rows = self.store.group_rows(self.category, ranked.top_ids(self.k))
-        else:
-            rows = self.matrix.take(
-                self.index.positions_of(ranked)[:self.k], axis=0)
-        eps = ExposureDistribution(self.category, _mean(rows))
-        return eps, _kl(_smoothed(eps.probabilities, KL_SMOOTHING),
-                        self.smoothed_goal)
+        eps = _mean(self.matrix.take(
+            self.index.positions_of(ranked)[:self.k], axis=0))
+        return eps, _kl(_smoothed(eps, KL_SMOOTHING), self.smoothed_goal)
 
-    def most_underrepresented(self, current: ExposureDistribution) -> str:
+    def most_underrepresented(self, current: np.ndarray) -> str:
         """`most_underrepresented` of the exposure and the target."""
-        return _neediest(current.probabilities, self.goal, self.subgroups)
+        return _neediest(current, self.goal, self.subgroups)
 
 
 def target_from_qrels(
@@ -184,8 +180,7 @@ def awrf(
 ) -> float:
     """1 - JS(system exposure, target exposure); 1 is perfectly fair."""
     current = exposure(ranked, store, target.category, k, missing_doc)
-    return 1.0 - js_divergence(current.probabilities,
-                               target.target.probabilities)
+    return 1.0 - js_divergence(current, target.target.probabilities)
 
 
 def most_underrepresented(current, target, subgroups) -> str:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol
 
+import numpy as np
+
 from .corpus import CorpusStore, is_string_lists, tokenize
 from .errors import (
     DegenerateExposureError,
@@ -124,7 +126,7 @@ class Refiner(Protocol):
         self,
         query: str,
         target: FairnessTarget,
-        current: ExposureDistribution,
+        current: np.ndarray,  # exposure at top_k, in schema order
         top_k: int,
         subgroup: str,
     ) -> Refinement: ...
@@ -230,7 +232,7 @@ class LLMRefiner:
             self.template,
             query,
             target,
-            current,
+            ExposureDistribution(target.category, current),
             top_k,
             subgroup,
             self.subgroups,
@@ -284,8 +286,7 @@ def fair_qr(
                 ranked = retrieve_terms(index, terms, config.pool_size,
                                         query_id)
                 eps, delta = meter.measure(ranked)
-                measured[terms] = (ranked, eps,
-                                   tuple(eps.probabilities.tolist()), delta)
+                measured[terms] = (ranked, eps, tuple(eps.tolist()), delta)
             ranked, eps, shares, delta = measured[terms]
         except (RefinerError, EmptyQueryError, DegenerateExposureError) as exc:
             trace.error = f"{type(exc).__name__}: {exc}"

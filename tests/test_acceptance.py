@@ -188,7 +188,7 @@ def test_criterion_3_loop_invariants(pipeline):
         for it in iterations:
             replayed = retrieve(index, it["query"], 20, trace["query_id"])
             eps = exposure(replayed, store, "gender", 20)
-            ok &= list(eps.probabilities) == it["exposure"]
+            ok &= eps.tolist() == it["exposure"]
     _report(3, "trace invariants hold and exposures replay exactly", ok)
 
 
@@ -230,7 +230,7 @@ def test_criterion_5_baseline_equivalences(pipeline, tmp_path):
         eps = exposure(ranked, store, "gender", 20)
         explicit[query_id] = {
             "gender": dict(zip(("male", "female", "Unknown"),
-                               map(float, eps.probabilities)))
+                               map(float, eps)))
         }
     targets_path = tmp_path / "targets.json"
     targets_path.write_text(json.dumps(explicit))

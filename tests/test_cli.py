@@ -214,7 +214,8 @@ class TestRunCmd:
                              ids=["targets", "no-targets"])
     def test_template_missing_a_placeholder_fails_before_writing(
             self, workspace, tmp_path, monkeypatch, capsys, qrels):
-        # without qrels no query has a target, so none reaches a prompt
+        # with an empty targets file no query has a target, so none reaches
+        # a prompt
         def no_call(url, headers, payload):
             raise AssertionError("the endpoint was called")
 
@@ -223,7 +224,9 @@ class TestRunCmd:
         template.write_text(DEFAULT_PROMPT_TEMPLATE.replace("{subgroup}", "x"))
         common = list(workspace["common"])
         if not qrels:
-            del common[common.index("--qrels"):common.index("--qrels") + 2]
+            (tmp_path / "targets.json").write_text("{}")
+            common[common.index("--qrels"):common.index("--qrels") + 2] = [
+                "--targets", str(tmp_path / "targets.json")]
         common[common.index(str(workspace["runs"]))] = str(tmp_path / "out")
         assert main(["run", "fairqr", "--refiner", "llm", "--base-url",
                      "http://llm.invalid/v1", "--model", "m",
@@ -232,9 +235,25 @@ class TestRunCmd:
         assert "template missing placeholder {subgroup}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["fairqr", "fairqr-norerank"])
+    def test_fair_mode_without_a_target_source_is_usage_error(
+            self, workspace, tmp_path, capsys, mode):
+        # without qrels or targets every query would run unrefined
+        common = list(workspace["common"])
+        del common[common.index("--qrels"):common.index("--qrels") + 2]
+        common[common.index(str(workspace["runs"]))] = str(tmp_path / "out")
+        assert main(["run", mode] + common) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: run {mode} needs fairness targets: give --qrels "
+            f"or --targets\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", ["bm25", "mmr", "fairqr"])
-    @pytest.mark.parametrize("line", ["q00\t!!!", "q00 topic00",
-                                      "q01\ttopic00"])
+    @pytest.mark.parametrize("line", [
+        "q00\t!!!", "q00 topic00", "q01\ttopic00",
+        # ids that a run file line or a trace file name cannot hold
+        "\ttopic00", "q 1\ttopic00", "sub/q2\ttopic00", "../x\ttopic00",
+        "q\\2\ttopic00"])
     def test_bad_query_line_is_data_error(self, workspace, tmp_path, capsys,
                                           mode, line):
         queries = tmp_path / "queries.tsv"
@@ -244,7 +263,7 @@ class TestRunCmd:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert str(queries) in err and "line 2" in err
-        assert f"'{line[:3]}" in err
+        assert repr(line.partition("\t")[0]) in err
         assert not (tmp_path / "runs").exists()
 
     def test_query_without_target_is_traced_at_the_mode_depth(
@@ -266,6 +285,34 @@ class TestRunCmd:
             trace = json.loads((tmp_path / "traces" / "q99.json").read_text())
             assert trace["terminal_reason"] == "no-target"
             assert trace["iterations"] == [] and trace["error"] == ""
+
+    def test_target_entry_without_the_category_is_no_target(
+            self, workspace, tmp_path):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({
+            "q00": {"gender": {"male": 0.5, "female": 0.5}},
+            "q01": {"geography": {"europe": 1.0}}}))
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("q00\ttopic00\nq01\ttopic01\n")
+        out = tmp_path / "out"
+        assert main(["run", "fairqr"] + workspace["common"] + [
+            "--targets", str(targets), "--queries", str(queries),
+            "--out", str(out)]) == 0
+        reasons = {qid: json.loads((out / "traces" / f"{qid}.json")
+                                   .read_text())["terminal_reason"]
+                   for qid in ("q00", "q01")}
+        assert reasons["q00"] != "no-target"
+        assert reasons["q01"] == "no-target"
+
+    def test_blank_query_lines_are_skipped(self, workspace, tmp_path):
+        for name, text in (("plain", "q00\ttopic00\nq01\ttopic01\n"),
+                           ("blank", "\nq00\ttopic00\n\n\nq01\ttopic01\n\n")):
+            queries = tmp_path / f"{name}.tsv"
+            queries.write_text(text)
+            assert main(["run", "bm25"] + workspace["common"] + [
+                "--queries", str(queries), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "blank" / "run-bm25.txt").read_bytes() == (
+            tmp_path / "plain" / "run-bm25.txt").read_bytes()
 
     def test_query_retrieving_nothing_is_named_by_run_and_eval(
             self, workspace, tmp_path, capsys):
@@ -462,6 +509,32 @@ class TestStaleInputs:
         assert err.startswith("data error:") and "utf-8" in err
         line_no = original.read_bytes().count(b"\n") + 1
         assert f"{path} line {line_no}: byte 0xe9 is not utf-8" in err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("name", ["queries.tsv", "qrels.txt",
+                                      "run-bm25.txt"])
+    def test_byte_order_mark_is_data_error(self, workspace, tmp_path, capsys,
+                                           name):
+        # a BOM read as text would prefix the first query id
+        data, runs = workspace["data"], workspace["runs"]
+        original = (runs if name == "run-bm25.txt" else data) / name
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        if name == "queries.tsv":
+            args = ["run", "fairqr"] + workspace["common"]
+            args[args.index(str(runs))] = str(tmp_path / "out")
+        else:
+            args = ["eval", str(runs / "run-bm25.txt"),
+                    "--corpus", str(data / "corpus.jsonl"),
+                    "--schema", str(data / "schema.json"),
+                    "--qrels", str(data / "qrels.txt"),
+                    "--out", str(tmp_path / "out")]
+        args[args.index(str(original))] = str(path)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path} line 1: starts with a UTF-8 byte-order "
+            f"mark; save it without one\n")
         assert not (tmp_path / "out").exists()
 
 

@@ -64,6 +64,11 @@ class TestNdcg:
         expected = 1.0 / (1.0 + 1.0 / math.log2(3))
         assert got == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_usage_error(self, k):
+        with pytest.raises(UsageError, match="k must be >= 1"):
+            ndcg_at_k(ranking("q1", ["d1"]), {"q1": {"d1": 1}}, "q1", k)
+
     def test_invariant_under_score_rescaling(self):
         qrels = {"q1": {"d1": 2, "d2": 1}}
         a = make_ranked_list("q1", [("d2", 10.0), ("d1", 5.0)])
@@ -91,7 +96,7 @@ def test_top_k_measures_look_up_only_k_ids(measure):
             [{"id": d, "text": "x", "groups": {"gender": ["male"]}}
              for d in ids], [GENDER])
         dist = exposure(ranked, store, "gender", 20)
-        assert dist.probabilities[0] == pytest.approx(1.0)
+        assert dist[0] == pytest.approx(1.0)
     else:
         qrels = {"q1": {"d000": 1}}
         assert ndcg_at_k(ranked, qrels, "q1", 20) == 1.0
@@ -343,6 +348,12 @@ class TestTrecFormats:
         assert parsed == run
         write_run(parsed, tmp_path / "again.txt", tag="test")
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    def test_blank_run_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("\nq1 Q0 d1 1 2.0 t\n   \nq1 Q0 d2 2 1.0 t\n\n")
+        assert parse_run(path) == {
+            "q1": make_ranked_list("q1", [("d1", 2.0), ("d2", 1.0)])}
 
     def test_malformed_run_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.txt"

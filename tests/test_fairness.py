@@ -15,6 +15,7 @@ from fairqr.errors import (
 from fairqr.fairness import (
     KL_SMOOTHING,
     ExposureDistribution,
+    ExposureMeter,
     FairnessTarget,
     awrf,
     exposure,
@@ -23,7 +24,7 @@ from fairqr.fairness import (
     most_underrepresented,
     target_from_qrels,
 )
-from fairqr.index import make_ranked_list
+from fairqr.index import build_index, make_ranked_list
 
 GENDER = GroupSchema("gender", ("male", "female", "Unknown"))
 
@@ -59,12 +60,12 @@ class TestExposure:
         labels.update({f"f{i}": ["female"] for i in range(3)})
         store = store_of(labels)
         dist = exposure(ranking(sorted(labels)), store, "gender", 10)
-        assert np.allclose(dist.probabilities, [0.7, 0.3, 0.0])
+        assert np.allclose(dist, [0.7, 0.3, 0.0])
 
     def test_all_unlabeled_mass_on_unknown(self):
         store = store_of({"d1": [], "d2": []})
         dist = exposure(ranking(["d1", "d2"]), store, "gender", 10)
-        assert dist.probabilities.tolist() == [0.0, 0.0, 1.0]
+        assert dist.tolist() == [0.0, 0.0, 1.0]
 
     @given(st.lists(st.sampled_from([["male"], ["female"], [],
                                      ["male", "female"]]),
@@ -76,13 +77,13 @@ class TestExposure:
         ids = [f"d{i}" for i in range(len(labels))]
         weights = np.ones(len(ids)) / len(ids)
         want = weights @ store.group_rows("gender", ids)
-        got = exposure(ranking(ids), store, "gender", len(ids)).probabilities
+        got = exposure(ranking(ids), store, "gender", len(ids))
         assert got.tobytes() == want.tobytes()
 
     def test_truncates_at_k(self):
         store = store_of({"d1": ["male"], "d2": ["female"], "d3": ["female"]})
         dist = exposure(ranking(["d1", "d2", "d3"]), store, "gender", 2)
-        assert np.allclose(dist.probabilities, [0.5, 0.5, 0.0])
+        assert np.allclose(dist, [0.5, 0.5, 0.0])
 
     def test_empty_ranking_raises(self):
         store = store_of({"d1": ["male"]})
@@ -98,7 +99,7 @@ class TestExposure:
         store = store_of({"d1": ["male"]})
         dist = exposure(ranking(["d1", "ghost"]), store, "gender", 10,
                         missing_doc="unknown")
-        assert dist.probabilities.tolist() == [0.5, 0.0, 0.5]
+        assert dist.tolist() == [0.5, 0.0, 0.5]
 
     @pytest.mark.parametrize("ids", [["d1"], ["d1", "ghost"]],
                              ids=["known-ids", "id-outside-corpus"])
@@ -240,6 +241,29 @@ class TestAWRF:
         target = self._target(target_probs)
         value = awrf(ranking(["d1", "d2", "d3"]), target, store, 3)
         assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+def _target(probs):
+    return FairnessTarget("q1", "gender",
+                          ExposureDistribution("gender", probs), "explicit")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda store: exposure(ranking(["d1"]), store, "gender", 0),
+     "k must be >= 1"),
+    (lambda store: ExposureMeter(store, build_index(store),
+                                 _target([1.0, 0.0, 0.0]), 0),
+     "k must be >= 1"),
+    (lambda store: ExposureMeter(store, build_index(store),
+                                 _target([0.5, 0.5]), 5),
+     r"length mismatch: \(3,\) vs \(2,\)"),
+    (lambda store: most_underrepresented([0.5, 0.5], [0.5, 0.5], ("male",)),
+     "subgroup labels do not match distribution length"),
+], ids=["exposure-k-0", "meter-k-0", "meter-target-length",
+        "labels-of-another-length"])
+def test_argument_out_of_range_is_usage_error(call, message):
+    with pytest.raises(UsageError, match=message):
+        call(store_of({"d1": ["male"]}))
 
 
 class TestMostUnderrepresented:

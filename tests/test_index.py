@@ -21,6 +21,7 @@ from fairqr.errors import (
     CorpusLookupError,
     EmptyQueryError,
     IndexBuildError,
+    UsageError,
 )
 from fairqr.index import (
     InvertedIndex,
@@ -222,6 +223,12 @@ class TestRetrieve:
         index = build_index(make_store({"d1": "a"}))
         with pytest.raises(EmptyQueryError):
             retrieve(index, "!!!", 10)
+
+    @pytest.mark.parametrize("pool_size", [0, -1])
+    def test_pool_size_below_one_is_usage_error(self, pool_size):
+        index = build_index(make_store({"d1": "a"}))
+        with pytest.raises(UsageError, match="pool_size must be >= 1"):
+            retrieve(index, "a", pool_size)
 
     def test_scores_match_independent_rescoring(self, synth):
         index = synth["index"]

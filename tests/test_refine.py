@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from fairqr.corpus import GroupSchema, ingest_corpus
 from fairqr.errors import (
-    CorpusLookupError,
+    IndexBuildError,
     LexiconError,
     ParseError,
     RefinerError,
@@ -60,6 +60,7 @@ def make_target(probs, category="gender"):
 
 
 CURRENT = ExposureDistribution("gender", [0.7, 0.3, 0.0])
+EXPOSURE = CURRENT.probabilities  # what the loop passes a refiner
 TARGET = make_target([0.5, 0.5, 0.0])
 
 
@@ -100,6 +101,10 @@ class TestParseRefinement:
         with pytest.raises(ParseError):
             parse_refinement("no marker here", "fallback")
 
+    def test_nothing_after_the_marker_is_error(self):
+        with pytest.raises(ParseError, match="empty refined query"):
+            parse_refinement("thinking...\nREFINED_QUERY:  \n", "fallback")
+
     def test_last_marker_wins(self):
         response = "REFINED_QUERY: first\nmore\nREFINED_QUERY: second"
         assert parse_refinement(response, "f") == "second"
@@ -109,25 +114,25 @@ class TestLexiconRefiner:
     def test_appends_keyword(self):
         refiner = LexiconRefiner({"female": ["women"]})
         assert refiner.refine(
-            "solar power", TARGET, CURRENT, 20, "female"
+            "solar power", TARGET, EXPOSURE, 20, "female"
         ).query == "solar power women"
 
     def test_unchanged_when_all_present(self):
         refiner = LexiconRefiner({"female": ["women"]})
         assert refiner.refine(
-            "women rights", TARGET, CURRENT, 20, "female"
+            "women rights", TARGET, EXPOSURE, 20, "female"
         ).query == "women rights"
 
     def test_skips_present_keywords(self):
         refiner = LexiconRefiner({"female": ["women", "her"]})
         assert refiner.refine(
-            "women x", TARGET, CURRENT, 20, "female"
+            "women x", TARGET, EXPOSURE, 20, "female"
         ).query == "women x her"
 
     def test_missing_subgroup_is_error(self):
         refiner = LexiconRefiner({})
         with pytest.raises(LexiconError):
-            refiner.refine("q", TARGET, CURRENT, 20, "female")
+            refiner.refine("q", TARGET, EXPOSURE, 20, "female")
 
 
 class TestLLMRefiner:
@@ -146,10 +151,13 @@ class TestLLMRefiner:
             return self._response("ok\nREFINED_QUERY: solar power women")
 
         refiner = LLMRefiner(self._client(transport), SUBS, temperature=0.3)
-        refined = refiner.refine("solar power", TARGET, CURRENT, 20, "female")
+        refined = refiner.refine("solar power", TARGET, EXPOSURE, 20, "female")
         assert refined.query == "solar power women"
         assert seen["payload"]["temperature"] == 0.3
-        assert "it's the subgroup: female" in seen["payload"]["messages"][0]["content"]
+        prompt = seen["payload"]["messages"][0]["content"]
+        assert "it's the subgroup: female" in prompt
+        assert ("distribution of: {male: 0.7000, female: 0.3000, "
+                "Unknown: 0.0000}") in prompt
         assert refined.raw_response == "ok\nREFINED_QUERY: solar power women"
 
     def test_retry_bound(self):
@@ -161,7 +169,7 @@ class TestLLMRefiner:
 
         refiner = LLMRefiner(self._client(transport), SUBS)
         with pytest.raises(RefinerError):
-            refiner.refine("q", TARGET, CURRENT, 20, "female")
+            refiner.refine("q", TARGET, EXPOSURE, 20, "female")
         assert len(calls) == 3  # 1 attempt + 2 retries
 
     @pytest.mark.parametrize("error", [
@@ -189,7 +197,7 @@ class TestLLMRefiner:
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         refiner = LLMRefiner(ChatCompletionClient("http://stub", "m"), SUBS)
         with pytest.raises(RefinerError, match="after 3 attempts"):
-            refiner.refine("q", TARGET, CURRENT, 20, "female")
+            refiner.refine("q", TARGET, EXPOSURE, 20, "female")
         assert len(calls) == 3
 
     @pytest.mark.parametrize("code, attempts", [
@@ -211,7 +219,7 @@ class TestLLMRefiner:
 
         refiner = LLMRefiner(self._client(transport), SUBS)
         with pytest.raises(ParseError):
-            refiner.refine("q", TARGET, CURRENT, 20, "female")
+            refiner.refine("q", TARGET, EXPOSURE, 20, "female")
 
 
 def small_collection():
@@ -302,7 +310,7 @@ class TestFairQRLoop:
         config = RefinerConfig(category="gender", pool_size=3, k=3)
         baseline = retrieve(index, "solar power", 3, "q1")
         eps = exposure(baseline, store, "gender", 3)
-        target = make_target(eps.probabilities)
+        target = make_target(eps)
         ranked, trace = fair_qr(
             index, store, "solar power", target, config,
             LexiconRefiner({"female": ["women"]}), "q1",
@@ -365,9 +373,9 @@ class TestFairQRLoop:
         for record in trace.records:
             fresh = exposure(retrieve(index, record.query, 3, "q1"), store,
                              "gender", 3)
-            assert record.exposure == tuple(fresh.probabilities.tolist())
+            assert record.exposure == tuple(fresh.tolist())
             assert record.divergence == kl_divergence(
-                fresh.probabilities, TARGET.target.probabilities)
+                fresh, TARGET.target.probabilities)
         best = [r for r in trace.records if r.accepted][-1]
         assert ranked == retrieve(index, best.query, 3, "q1")
 
@@ -477,10 +485,9 @@ class TestFairQRLoop:
         for record in trace.records:
             replayed = retrieve(index, record.query, config.pool_size, "q1")
             eps = exposure(replayed, store, "gender", config.k)
-            assert tuple(eps.probabilities) == record.exposure
+            assert tuple(eps) == record.exposure
             assert kl_divergence(
-                eps.probabilities, target.target.probabilities
-            ) == record.divergence
+                eps, target.target.probabilities) == record.divergence
 
     def test_trace_bounded_by_max_iterations(self, synth):
         store, index = synth["store"], synth["index"]
@@ -572,54 +579,35 @@ class TestFairQRLoop:
         for record in trace.records:
             fresh = exposure(retrieve(index, record.query, pool, "q1"), store,
                              "gender", config.k)
-            assert record.exposure == tuple(fresh.probabilities.tolist())
+            assert record.exposure == tuple(fresh.tolist())
             assert record.divergence == kl_divergence(
-                fresh.probabilities, target.target.probabilities)
+                fresh, target.target.probabilities)
         if trace.records:
             best = [r for r in trace.records if r.accepted][-1]
             assert ranked == retrieve(index, best.query, pool, "q1")
 
-    def test_index_document_outside_the_store_raises_in_a_top_k(self):
-        store, _ = small_collection()
-        records = [{"id": "ghost", "text": "wind solar", "groups": {}}]
-        records += [{"id": d, "text": store.texts[row]}
-                    for d, row in store.rows.items()]
-        index = build_index(ingest_corpus(records, [GroupSchema("gender",
-                                                                SUBS)]))
-        config = RefinerConfig(category="gender", pool_size=3, k=3)
-        refiner = LexiconRefiner({"female": ["women"], "male": ["plant"]})
-        # "ghost" is in no top 3 of these queries: the loop runs as usual
-        _, trace = fair_qr(index, store, "power", TARGET, config, refiner,
-                           "q1")
-        assert trace.terminal_reason != "error" and trace.records
-        with pytest.raises(CorpusLookupError,
-                           match="unknown document id 'ghost'"):
-            fair_qr(index, store, "wind", TARGET, config, refiner, "q1")
-
-    def test_stale_index_is_read_by_id(self):
-        # same ids, one text edited: the digests differ, so the meter reads
-        # the store by id, and every record is still the public measurement
+    @pytest.mark.parametrize("edit", ["document-outside-the-store",
+                                      "text-edited"])
+    def test_index_of_another_corpus_is_rejected(self, edit):
+        # an index position is a store row only for an index of the store's
+        # own corpus; any other index is refused before a query is measured,
+        # as `fairqr run` refuses it
         store, _ = small_collection()
         records = [{"id": d, "text": store.texts[row]}
                    for d, row in store.rows.items()]
-        records[store.rows["m3"]]["text"] = "women power women solar"
+        if edit == "text-edited":  # same ids, so equal index positions
+            records[store.rows["m3"]]["text"] = "women power women solar"
+        else:
+            records.append({"id": "ghost", "text": "wind solar"})
         index = build_index(ingest_corpus(records, [GroupSchema("gender",
                                                                 SUBS)]))
-        assert index.doc_ids == tuple(store.rows)
         assert index.digest != store.digest
-        assert ExposureMeter(store, index, TARGET, 3).matrix is None
         config = RefinerConfig(category="gender", pool_size=3, k=3)
         refiner = LexiconRefiner({"female": ["women"], "male": ["plant"]})
-        for query in ("solar power", "women", "wind"):
-            _, trace = fair_qr(index, store, query, TARGET, config, refiner,
-                               "q1")
-            assert trace.records
-            for record in trace.records:
-                fresh = exposure(retrieve(index, record.query, 3, "q1"),
-                                 store, "gender", 3)
-                assert record.exposure == tuple(fresh.probabilities.tolist())
-                assert record.divergence == kl_divergence(
-                    fresh.probabilities, TARGET.target.probabilities)
+        with pytest.raises(IndexBuildError, match="rerun `fairqr index`"):
+            ExposureMeter(store, index, TARGET, 3)
+        with pytest.raises(IndexBuildError, match="rerun `fairqr index`"):
+            fair_qr(index, store, "power", TARGET, config, refiner, "q1")
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

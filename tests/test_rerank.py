@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bm25_reference import reference_score
 from fairqr.corpus import GroupSchema, ingest_corpus, tokenize
+from fairqr.errors import UsageError
 from fairqr.fairness import target_from_qrels
 from fairqr.index import (
     InvertedIndex,
@@ -119,6 +120,18 @@ class TestMMR:
         candidates = retrieve(index, "a", 3)
         out = mmr_rerank(candidates, "a", store, index, 0.0, 3)
         assert out.doc_ids()[1] == "d3"  # the distinct doc goes second
+
+    @pytest.mark.parametrize("lam, k, message", [
+        (-0.1, 5, r"lambda must be in \[0, 1\]"),
+        (1.5, 5, r"lambda must be in \[0, 1\]"),
+        (0.5, 0, "k must be >= 1"),
+    ], ids=["lambda-below-0", "lambda-above-1", "k-0"])
+    def test_argument_out_of_range_is_usage_error(self, synth, lam, k,
+                                                  message):
+        candidates = retrieve(synth["index"], "topic00", 20, "q00")
+        with pytest.raises(UsageError, match=message):
+            mmr_rerank(candidates, "topic00", synth["store"], synth["index"],
+                       lam, k)
 
     def test_empty_candidates(self, synth):
         out = mmr_rerank(

@@ -98,7 +98,7 @@ class TestGenerate:
         for query_id, qtext in synth["queries"]:
             ranked = retrieve(index, qtext, 20, query_id)
             eps = exposure(ranked, store, "gender", 20)
-            assert abs(eps.probabilities[0] - synth["spec"].skew) <= 0.1 + 1e-9
+            assert abs(eps[0] - synth["spec"].skew) <= 0.1 + 1e-9
 
     def test_marker_raises_subgroup_exposure(self, synth):
         index, store = synth["index"], synth["store"]
@@ -112,4 +112,4 @@ class TestGenerate:
                 store, "gender", 20,
             )
             female = list(synth["spec"].subgroups).index("female")
-            assert boosted.probabilities[female] > base.probabilities[female]
+            assert boosted[female] > base[female]
