@@ -21,6 +21,7 @@ from .errors import (
     FairQRError,
     IndexBuildError,
     LineError,
+    NoTargetError,
     SchemaError,
     UsageError,
 )
@@ -147,10 +148,10 @@ def _read(path, parse, *args):
 def _load_queries(path) -> list[tuple[str, str]]:
     """Queries file: TSV lines `query_id<TAB>query text`; blank lines skipped.
 
-    A line without a tab, whose text tokenizes to nothing, whose query id a
-    run file line or a trace file name cannot hold (empty, or holding
-    whitespace, `/` or `\\`), or whose query id an earlier line already
-    used, is a data error.
+    A line without a tab, whose text tokenizes to nothing, whose query id is
+    empty or holds whitespace, `/`, `\\` (a run file line or a trace file
+    name cannot hold them) or U+FEFF, or whose query id an earlier line
+    already used, is a data error.
     """
     queries = []
     first_line: dict[str, int] = {}
@@ -163,11 +164,11 @@ def _load_queries(path) -> list[tuple[str, str]]:
             if not (tab and tokenize(text)):
                 raise FairQRError(f"{path} line {number}: query {query_id!r} "
                                   f"has no searchable text after a tab")
-            if not query_id or any(c.isspace() or c in "/\\"
+            if not query_id or any(c.isspace() or c in "/\\\ufeff"
                                    for c in query_id):
                 raise FairQRError(f"{path} line {number}: query id "
                                   f"{query_id!r} is empty or holds "
-                                  f"whitespace, '/' or '\\'")
+                                  f"whitespace, '/', '\\' or U+FEFF")
             if query_id in first_line:
                 raise FairQRError(f"{path} line {number}: query id "
                                   f"{query_id!r} repeats line "
@@ -231,7 +232,7 @@ def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
             targets[query_id] = target_from_qrels(
                 qrels, store, query_id, category
             )
-        except FairQRError:
+        except NoTargetError:
             pass  # queries without relevant docs are skipped downstream
     return targets
 

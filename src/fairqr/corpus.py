@@ -24,7 +24,6 @@ from .errors import (
     FairQRError,
     IngestionError,
     SchemaError,
-    UsageError,
 )
 
 UNKNOWN = "Unknown"
@@ -83,14 +82,6 @@ class GroupSchema:
                 f"category {self.category!r} must contain {UNKNOWN!r} exactly once"
             )
 
-    def index(self, subgroup: str) -> int:
-        try:
-            return self.subgroups.index(subgroup)
-        except ValueError:
-            raise SchemaError(
-                f"subgroup {subgroup!r} not in category {self.category!r}"
-            ) from None
-
 
 @dataclass
 class CorpusStore:
@@ -138,23 +129,11 @@ class CorpusStore:
         except KeyError:
             raise CorpusLookupError(f"unknown category {category!r}") from None
 
-    def group_rows(self, category: str, doc_ids,
-                   missing_doc: str = "error") -> np.ndarray:
+    def group_rows(self, category: str, doc_ids) -> np.ndarray:
         """The documents' membership rows in the category, in order; an id
-        outside the corpus raises, or with missing_doc="unknown" gets the
-        last row. Any other missing_doc raises UsageError."""
-        if missing_doc not in ("error", "unknown"):
-            raise UsageError(f"missing_doc must be 'error' or 'unknown', "
-                             f"not {missing_doc!r}")
+        outside the corpus gets the last row, all mass on "Unknown"."""
         self.schema(category)  # CorpusLookupError for an unknown category
-        matrix, rows = self.groups[category], self.rows
-        if missing_doc == "unknown":
-            return matrix[[rows.get(d, -1) for d in doc_ids]]
-        try:
-            return matrix[[rows[d] for d in doc_ids]]
-        except KeyError as exc:
-            raise CorpusLookupError(
-                f"unknown document id {exc.args[0]!r}") from None
+        return self.groups[category][[self.rows.get(d, -1) for d in doc_ids]]
 
 
 def ingest_corpus(
@@ -217,7 +196,7 @@ def ingest_corpus(
                         list(map(texts.__getitem__, order)))
     for category, (schema, label_rows, cols) in marks.items():
         label_rows.append(n)
-        cols.append(schema.index(UNKNOWN))
+        cols.append(schema.subgroups.index(UNKNOWN))
         shape = (n + 1, len(schema.subgroups))
         matrix = store.groups[category] = np.zeros(shape)
         matrix[new_row[label_rows], cols] = 1.0  # a label twice counts once

@@ -128,7 +128,7 @@ def evaluate_run(
         if target is None:
             report.excluded.append(query_id)
             continue
-        fairness = awrf(ranked, target, store, k, missing_doc="unknown")
+        fairness = awrf(ranked, target, store, k)
         ndcg = ndcg_at_k(ranked, qrels, query_id, k)
         report.rows.append(QueryRow(query_id, ndcg, fairness,
                                     composite(ndcg, fairness)))

@@ -49,14 +49,12 @@ def exposure(
     store: CorpusStore,
     category: str,
     k: int,
-    missing_doc: str = "error",
 ) -> np.ndarray:
     """Exposure of the top-min(k, len) documents of a ranked list: a
     probability vector in the category's schema order.
 
     Each of the n documents weighs 1/n: the mean of their group vectors.
-    missing_doc="unknown" counts an id outside the corpus as unlabeled
-    instead of raising, for evaluating externally produced runs.
+    An id outside the corpus, as a run file may hold, counts as unlabeled.
     """
     if k < 1:
         raise UsageError("k must be >= 1")
@@ -65,7 +63,7 @@ def exposure(
         raise DegenerateExposureError(
             f"empty ranked list for query {ranked.query_id!r}"
         )
-    return _mean(store.group_rows(category, top, missing_doc))
+    return _mean(store.group_rows(category, top))
 
 
 def _mean(rows: np.ndarray) -> np.ndarray:
@@ -176,10 +174,9 @@ def awrf(
     target: FairnessTarget,
     store: CorpusStore,
     k: int,
-    missing_doc: str = "error",
 ) -> float:
     """1 - JS(system exposure, target exposure); 1 is perfectly fair."""
-    current = exposure(ranked, store, target.category, k, missing_doc)
+    current = exposure(ranked, store, target.category, k)
     return 1.0 - js_divergence(current, target.target.probabilities)
 
 

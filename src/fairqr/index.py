@@ -64,13 +64,13 @@ class ScoredDoc:
 class RankedList:
     """Ordered retrieval result for one query; ranks contiguous from 1.
 
-    Held as each entry's position in `source`, a sorted tuple of doc ids,
-    and a parallel array of their scores rather than one object per entry:
-    a run keeps every query's lists, and a ScoredDoc with its boxed score
-    costs several times the int and the double. A list an index made has
-    that index's `doc_ids` as `source`, so the re-rankers read its positions
-    as they are; a list from `make_ranked_list` has its own ids. `ids` is
-    derived, and `==` compares the query id, ids and scores.
+    Held as each entry's position in `source`, a tuple of doc ids, and a
+    parallel array of their scores rather than one object per entry: a run
+    keeps every query's lists, and a ScoredDoc with its boxed score costs
+    several times the int and the double. A list an index made has its
+    sorted `doc_ids` as `source`, so the re-rankers read its positions as
+    they are; one from `make_ranked_list` or `parse_run` has its own ids, in
+    rank order. `ids` is derived, and `==` compares query id, ids and scores.
     """
 
     query_id: str
@@ -253,7 +253,7 @@ class InvertedIndex:
 
     def _query_terms(self, terms):
         """(largest gain, ascending positions, gains, dense gains) of each
-        distinct query term with postings, in first-occurrence order.
+        distinct query term of the vocabulary, in first-occurrence order.
 
         A term's entry is derived on its first use and kept, for the terms
         of the vocabulary only, so arbitrary query text cannot grow it. Its
@@ -271,14 +271,11 @@ class InvertedIndex:
                 if t is None:
                     continue
                 hit = self._entries.setdefault(term, self._entry(t))
-            if hit:  # () for a term without postings
-                hits.append(hit)
+            hits.append(hit)
         return hits
 
     def _entry(self, t: int) -> tuple:
-        lo, hi = self.indptr[t:t + 2].tolist()
-        if lo == hi:
-            return ()
+        lo, hi = self.indptr[t:t + 2].tolist()  # lo < hi: see _checked_index
         positions, gains = self.positions[lo:hi], self.gains[lo:hi]
         dense = None
         if 8 * (hi - lo) >= self.n_documents:
@@ -503,6 +500,8 @@ def _checked_index(meta, indptr, positions, tf) -> InvertedIndex:
     if (len(indptr) != len(terms) + 1 or indptr[0] != 0 or (df < 0).any()
             or indptr[-1] != len(positions) or len(tf) != len(positions)):
         raise ValueError("indptr does not fit the terms and postings")
+    if (df == 0).any():  # build_index never lists a term it did not see
+        raise ValueError("a term has no postings")
     if len(positions) and (positions.min() < 0 or positions.max() >= n):
         raise ValueError("a posting's document is out of range")
     if (tf < 1).any():

@@ -14,8 +14,8 @@ Qrels = dict[str, dict[str, int]]
 
 
 def parse_qrels(path) -> Qrels:
-    """Judgments in file order; a negative grade or a repeated (query, doc)
-    pair is a RunFileError at its line."""
+    """Judgments in file order; a negative grade, a repeated (query, doc)
+    pair or a query id holding U+FEFF is a RunFileError at its line."""
     qrels: Qrels = {}
     with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -28,6 +28,9 @@ def parse_qrels(path) -> Qrels:
                     f"expected 4 fields, got {len(parts)}", line_no
                 )
             query_id, _, doc_id, grade_s = parts
+            if "\ufeff" in query_id:  # the queries file's id would lack it
+                raise RunFileError(f"query id {query_id!r} holds U+FEFF, a "
+                                   f"byte-order mark", line_no)
             try:
                 grade = int(grade_s)
             except ValueError:
@@ -75,6 +78,9 @@ def parse_run(path) -> dict[str, RankedList]:
                     f"expected 6 fields, got {len(parts)}", line_no
                 )
             query_id, _, doc_id, rank_s, score_s, _tag = parts
+            if "\ufeff" in query_id:  # the queries file's id would lack it
+                raise RunFileError(f"query id {query_id!r} holds U+FEFF, a "
+                                   f"byte-order mark", line_no)
             try:
                 rank = int(rank_s)
                 score = float(score_s)

@@ -253,11 +253,13 @@ class TestRunCmd:
         "q00\t!!!", "q00 topic00", "q01\ttopic00",
         # ids that a run file line or a trace file name cannot hold
         "\ttopic00", "q 1\ttopic00", "sub/q2\ttopic00", "../x\ttopic00",
-        "q\\2\ttopic00"])
+        "q\\2\ttopic00",
+        # a byte-order mark at the start of a later line
+        "\ufeffq02\ttopic00"])
     def test_bad_query_line_is_data_error(self, workspace, tmp_path, capsys,
                                           mode, line):
         queries = tmp_path / "queries.tsv"
-        queries.write_text(f"q01\ttopic01\n{line}\n")
+        queries.write_text(f"q01\ttopic01\n{line}\n", encoding="utf-8")
         args = ["run", mode] + workspace["common"] + [
             "--queries", str(queries), "--out", str(tmp_path / "runs")]
         assert main(args) == 2
@@ -607,14 +609,20 @@ class TestEvalCmd:
         ("qrels", "q1 0 d1 x", " line 2: non-integer grade 'x'"),
         ("run", "q1 Q0 d1 one 1.0 t", " line 2: bad rank/score 'one'/'1.0'"),
         ("run", "q1 Q0 d2 3 1.0 t", ": ranks for query 'q1' not contiguous"),
-    ], ids=["qrels-line", "run-line", "run-no-line"])
+        # a byte-order mark at the start of a later line
+        ("qrels", "\ufeffq1 0 d2 1",
+         " line 2: query id '\\ufeffq1' holds U+FEFF"),
+        ("run", "\ufeffq1 Q0 d2 1 1.0 t",
+         " line 2: query id '\\ufeffq1' holds U+FEFF"),
+    ], ids=["qrels-line", "run-line", "run-no-line", "qrels-bom", "run-bom"])
     def test_bad_qrels_or_run_is_named_at_its_file(
             self, workspace, tmp_path, capsys, bad, line, where):
         data = workspace["data"]
         files = {"qrels": tmp_path / "qrels.txt", "run": tmp_path / "run.txt"}
         files["qrels"].write_text("q1 0 d1 1\n")
         files["run"].write_text("q1 Q0 d1 1 1.0 t\n")
-        files[bad].write_text(f"{files[bad].read_text()}{line}\n")
+        files[bad].write_text(f"{files[bad].read_text()}{line}\n",
+                              encoding="utf-8")
         assert main(["eval", str(files["run"]),
                      "--corpus", str(data / "corpus.jsonl"),
                      "--schema", str(data / "schema.json"),

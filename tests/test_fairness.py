@@ -68,17 +68,21 @@ class TestExposure:
         assert dist.tolist() == [0.0, 0.0, 1.0]
 
     @given(st.lists(st.sampled_from([["male"], ["female"], [],
-                                     ["male", "female"]]),
+                                     ["male", "female"], None]),
                     min_size=1, max_size=100))
     def test_each_document_weighs_one_nth_to_the_bit(self, labels):
         # Traces print exposure with repr, so the rounding must stay that of
-        # weights 1/n; the mean of the rows rounds differently.
-        store = store_of({f"d{i}": subs for i, subs in enumerate(labels)})
+        # weights 1/n; the mean of the rows rounds differently. None is an
+        # id outside the corpus, which weighs on the last row, all Unknown.
+        store = store_of({f"d{i}": subs for i, subs in enumerate(labels)
+                          if subs is not None})
         ids = [f"d{i}" for i in range(len(labels))]
+        rows = store.group_rows("gender", ids)
+        outside = [subs is None for subs in labels]
+        assert (rows[outside] == store.groups["gender"][-1]).all()
         weights = np.ones(len(ids)) / len(ids)
-        want = weights @ store.group_rows("gender", ids)
         got = exposure(ranking(ids), store, "gender", len(ids))
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == (weights @ rows).tobytes()
 
     def test_truncates_at_k(self):
         store = store_of({"d1": ["male"], "d2": ["female"], "d3": ["female"]})
@@ -90,30 +94,21 @@ class TestExposure:
         with pytest.raises(DegenerateExposureError):
             exposure(ranking([]), store, "gender", 10)
 
-    def test_id_outside_corpus_raises(self):
+    def test_id_outside_corpus_counts_as_unknown(self):
+        # the store's last row: a run file may name any id
         store = store_of({"d1": ["male"]})
-        with pytest.raises(CorpusLookupError):
-            exposure(ranking(["d1", "ghost"]), store, "gender", 10)
-
-    def test_id_outside_corpus_counts_as_unknown_when_asked(self):
-        store = store_of({"d1": ["male"]})
-        dist = exposure(ranking(["d1", "ghost"]), store, "gender", 10,
-                        missing_doc="unknown")
+        assert store.group_rows("gender", ["ghost"]).tolist() == [
+            [0.0, 0.0, 1.0]]
+        dist = exposure(ranking(["d1", "ghost"]), store, "gender", 10)
         assert dist.tolist() == [0.5, 0.0, 0.5]
-
-    @pytest.mark.parametrize("ids", [["d1"], ["d1", "ghost"]],
-                             ids=["known-ids", "id-outside-corpus"])
-    def test_misspelled_missing_doc_is_usage_error(self, ids):
-        store = store_of({"d1": ["male"]})
-        with pytest.raises(UsageError, match="not 'unkown'"):
-            exposure(ranking(ids), store, "gender", 10, missing_doc="unkown")
+        target = FairnessTarget("q1", "gender", ExposureDistribution(
+            "gender", [0.5, 0.0, 0.5]), "explicit")
+        assert awrf(ranking(["d1", "ghost"]), target, store, 10) == 1.0
 
     def test_unknown_category_raises(self):
         store = store_of({"d1": ["male"]})
         with pytest.raises(CorpusLookupError):
             exposure(ranking(["d1"]), store, "age", 10)
-        with pytest.raises(CorpusLookupError):
-            exposure(ranking(["d1"]), store, "age", 10, missing_doc="unknown")
 
 
 class TestTargetFromQrels:
