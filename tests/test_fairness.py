@@ -94,11 +94,18 @@ class TestExposure:
         with pytest.raises(DegenerateExposureError):
             exposure(ranking([]), store, "gender", 10)
 
-    def test_id_outside_corpus_counts_as_unknown(self):
-        # the store's last row: a run file may name any id
+    def test_id_outside_corpus_raises(self):
+        # nothing is raised: a run file may name any id, and an id outside
+        # the corpus reads the store's last row, all mass on Unknown
         store = store_of({"d1": ["male"]})
         assert store.group_rows("gender", ["ghost"]).tolist() == [
             [0.0, 0.0, 1.0]]
+        dist = exposure(ranking(["ghost"]), store, "gender", 10)
+        assert dist.tolist() == [0.0, 0.0, 1.0]
+
+    def test_id_outside_corpus_counts_as_unknown_when_asked(self):
+        # Unknown is the only policy, so no option asks for it
+        store = store_of({"d1": ["male"]})
         dist = exposure(ranking(["d1", "ghost"]), store, "gender", 10)
         assert dist.tolist() == [0.5, 0.0, 0.5]
         target = FairnessTarget("q1", "gender", ExposureDistribution(
