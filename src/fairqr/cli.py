@@ -14,13 +14,13 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from . import synthetic
-from .corpus import load_corpus, open_utf8, tokenize
+from .corpus import load_corpus, open_utf8
 from .errors import (
     FairQRError,
     IndexBuildError,
-    LineError,
     NoTargetError,
     SchemaError,
     UsageError,
@@ -39,7 +39,6 @@ from .fairness import (
 from .index import build_index, load_index, retrieve, save_index
 from .llm import ChatCompletionClient
 from .refine import (
-    DEFAULT_PROMPT_TEMPLATE,
     LLMRefiner,
     LexiconRefiner,
     RefinementTrace,
@@ -47,7 +46,7 @@ from .refine import (
     fair_qr,
 )
 from .rerank import mmr_rerank, semantic_rerank
-from .trec import parse_qrels, parse_run, write_qrels, write_run
+from .trec import parse_qrels, parse_queries, parse_run, write_qrels, write_run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,19 +108,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS)
     flags = vars(args)
     if flags["config"]:
-        with open_utf8(flags["config"]) as fh:
+        with open_utf8(flags["config"]) as fh:  # a UsageError names the file
             loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = set(loaded) - set(CONFIG_FIELDS)
-        if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        for name, value in loaded.items():
-            typ = CONFIG_FIELDS[name]
-            allowed = (int, float) if typ is float else typ
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise UsageError(f"config field {name!r} must be "
-                                 f"{typ.__name__}, got {value!r}")
+            if not isinstance(loaded, dict):
+                raise UsageError("config file must hold a JSON object")
+            unknown = set(loaded) - set(CONFIG_FIELDS)
+            if unknown:
+                raise UsageError(f"unknown config fields: {sorted(unknown)}")
+            for name, value in loaded.items():
+                typ = CONFIG_FIELDS[name]
+                allowed = (int, float) if typ is float else typ
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise UsageError(f"config field {name!r} must be "
+                                     f"{typ.__name__}, got {value!r}")
         config.update(loaded)
     for name in CONFIG_FIELDS:
         if flags.get(name) is not None:
@@ -135,52 +134,9 @@ def _require(config: dict, *names: str) -> None:
         raise UsageError(f"missing required config fields: {missing}")
 
 
-def _read(path, parse, *args):
-    """parse(path, *args), with a LineError named at its file: `<path> line
-    N: ...`, or `<path>: ...` when no line is known."""
-    try:
-        return parse(path, *args)
-    except LineError as exc:
-        where = f"{path} " if str(exc) != exc.detail else f"{path}: "
-        raise FairQRError(f"{where}{exc}") from None
-
-
-def _load_queries(path) -> list[tuple[str, str]]:
-    """Queries file: TSV lines `query_id<TAB>query text`; blank lines skipped.
-
-    A line without a tab, whose text tokenizes to nothing, whose query id is
-    empty or holds whitespace, `/`, `\\` (a run file line or a trace file
-    name cannot hold them) or U+FEFF, or whose query id an earlier line
-    already used, is a data error.
-    """
-    queries = []
-    first_line: dict[str, int] = {}
-    with open_utf8(path) as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            query_id, tab, text = line.partition("\t")
-            if not (tab and tokenize(text)):
-                raise FairQRError(f"{path} line {number}: query {query_id!r} "
-                                  f"has no searchable text after a tab")
-            if not query_id or any(c.isspace() or c in "/\\\ufeff"
-                                   for c in query_id):
-                raise FairQRError(f"{path} line {number}: query id "
-                                  f"{query_id!r} is empty or holds "
-                                  f"whitespace, '/', '\\' or U+FEFF")
-            if query_id in first_line:
-                raise FairQRError(f"{path} line {number}: query id "
-                                  f"{query_id!r} repeats line "
-                                  f"{first_line[query_id]}")
-            first_line[query_id] = number
-            queries.append((query_id, text))
-    return queries
-
-
 def _load_store_and_index(config):
     _require(config, "corpus", "schema")
-    store = _read(config["corpus"], load_corpus, config["schema"])
+    store = load_corpus(config["corpus"], config["schema"])
     path = config.get("index_file")
     if not (path and os.path.exists(path)):
         return store, build_index(store)
@@ -195,12 +151,20 @@ def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
     category = config["category"]
     schema = store.schema(category)
     targets: dict[str, FairnessTarget] = {}
-    if config.get("targets"):
-        with open_utf8(config["targets"]) as fh:
-            explicit = json.load(fh)
+    if not config.get("targets"):
+        for query_id in qids:
+            try:
+                targets[query_id] = target_from_qrels(
+                    qrels, store, query_id, category
+                )
+            except NoTargetError:
+                pass  # queries without relevant docs are skipped downstream
+        return targets
+    with open_utf8(config["targets"]) as fh:  # its errors name the file
+        explicit = json.load(fh)
         if not isinstance(explicit, dict):
-            raise FairQRError(f"targets file {config['targets']} is not an "
-                              f"object keyed by query id")
+            raise FairQRError("targets file is not an object keyed by query "
+                              "id")
         for query_id, per_cat in explicit.items():
             if not (isinstance(per_cat, dict)
                     and isinstance(per_cat.get(category, {}), dict)):
@@ -226,14 +190,6 @@ def _targets_for(config, store, qrels, qids) -> dict[str, FairnessTarget]:
                     f"target for query {query_id!r}: {exc}") from None
             targets[query_id] = FairnessTarget(
                 query_id, category, dist, provenance="explicit")
-        return targets
-    for query_id in qids:
-        try:
-            targets[query_id] = target_from_qrels(
-                qrels, store, query_id, category
-            )
-        except NoTargetError:
-            pass  # queries without relevant docs are skipped downstream
     return targets
 
 
@@ -256,20 +212,17 @@ def _check_run_options(config) -> None:
 def _make_refiner(config, store):
     if config["refiner"] == "lexicon":
         _require(config, "lexicon")
-        with open_utf8(config["lexicon"]) as fh:
-            lexicon = json.load(fh)
-        return LexiconRefiner(lexicon)
+        with open_utf8(config["lexicon"]) as fh:  # a LexiconError names it
+            return LexiconRefiner(json.load(fh))
     _require(config, "base_url", "model")
-    template = DEFAULT_PROMPT_TEMPLATE
-    if config.get("template"):
-        with open_utf8(config["template"]) as fh:
-            template = fh.read()
     client = ChatCompletionClient(config["base_url"], config["model"])
     subgroups = store.schema(config["category"]).subgroups
-    return LLMRefiner(
-        client, subgroups,
-        temperature=config["temperature"], template=template,
-    )
+    refiner = partial(LLMRefiner, client, subgroups,
+                      temperature=config["temperature"])
+    if not config.get("template"):
+        return refiner()
+    with open_utf8(config["template"]) as fh:  # a TemplateError names it
+        return refiner(template=fh.read())
 
 
 def cmd_gen(args) -> int:
@@ -307,7 +260,7 @@ def cmd_gen(args) -> int:
 def cmd_index(args) -> int:
     config = _merge_config(args)
     _require(config, "corpus", "schema", "index_file")
-    store = _read(config["corpus"], load_corpus, config["schema"])
+    store = load_corpus(config["corpus"], config["schema"])
     index = build_index(store)
     save_index(index, config["index_file"])
     print(f"N={index.n_documents} avgdl={index.avgdl:.4f} "
@@ -333,9 +286,8 @@ def cmd_run(args) -> int:
             k=k,
         )
     store, index = _load_store_and_index(config)
-    queries = _load_queries(config["queries"])
-    qrels = (_read(config["qrels"], parse_qrels) if config.get("qrels")
-             else {})
+    queries = parse_queries(config["queries"])
+    qrels = parse_qrels(config["qrels"]) if config.get("qrels") else {}
     if fair_modes:
         targets = _targets_for(config, store, qrels, [q for q, _ in queries])
         refiner = _make_refiner(config, store)
@@ -398,14 +350,14 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     config = _merge_config(args)
     _require(config, "qrels", "corpus", "schema")
-    store = _read(config["corpus"], load_corpus, config["schema"])
-    qrels = _read(config["qrels"], parse_qrels)
-    run_a = _read(args.run, parse_run)
+    store = load_corpus(config["corpus"], config["schema"])
+    qrels = parse_qrels(config["qrels"])
+    run_a = parse_run(args.run)
     targets = _targets_for(config, store, qrels, sorted(run_a))
     k = config["k"]
     report = evaluate_run(run_a, qrels, targets, store, k)
     if args.run_b:
-        run_b = _read(args.run_b, parse_run)
+        run_b = parse_run(args.run_b)
         report_b = evaluate_run(run_b, qrels, targets, store, k)
         report.significance = compare_runs(report, report_b, args.run_b)
         if report.significance is None:
@@ -472,8 +424,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FairQRError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (FairQRError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

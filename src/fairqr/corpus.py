@@ -23,6 +23,7 @@ from .errors import (
     CorpusLookupError,
     FairQRError,
     IngestionError,
+    LineError,
     SchemaError,
 )
 
@@ -142,9 +143,10 @@ def ingest_corpus(
     """Build a CorpusStore from parsed JSONL records.
 
     A category's labels are a list of strings; an absent, null or empty one
-    falls back to ["Unknown"]. Labels outside the schema and duplicate ids
-    are rejected. The records are read in their order, so an error names
-    the first record at fault; the documents are then put in id order.
+    falls back to ["Unknown"]. A label outside the schema or a duplicate id
+    is an IngestionError at its record. The records are read in their
+    order, so an error names the first record at fault; the documents are
+    then put in id order.
     """
     schemas = {s.category: s for s in schemas}
     rows, texts = {}, []  # in ingest order
@@ -174,15 +176,10 @@ def ingest_corpus(
                     f"labels of category {category!r} must be a list of "
                     f"strings (document {doc_id!r})", line_no)
             for label in labels:
-                if label not in schema.subgroups:
-                    if not isinstance(label, str):
-                        raise IngestionError(
-                            f"label {label!r} of category {category!r} is not "
-                            f"a string (document {doc_id!r})", line_no)
-                    raise SchemaError(
-                        f"subgroup {label!r} not in category {category!r} "
-                        f"(document {doc_id!r})"
-                    )
+                if label not in schema.subgroups:  # a non-string label too
+                    raise IngestionError(
+                        f"label {label!r} is not a subgroup of category "
+                        f"{category!r} (document {doc_id!r})", line_no)
                 label_rows.append(row)
                 cols.append(schema.subgroups.index(label))
         rows[doc_id] = row
@@ -214,30 +211,39 @@ def is_string_lists(data) -> bool:
 
 @contextmanager
 def open_utf8(path):
-    """The file at `path`, open as UTF-8 text.
+    """The file at `path`, open as UTF-8 text: the one place that names the
+    file a bad input came from.
 
-    A leading byte-order mark, which would otherwise become part of the
-    first id or key, raises FairQRError at line 1. A byte that is not UTF-8
-    raises FairQRError naming the path and line. The line is found only
-    then, by decoding the file's bytes again, so a file that decodes costs
-    nothing more.
+    A FairQRError raised while the file is open is raised again, with its
+    class, as `<path> line N: ...`, or as `<path>: ...` when no line is
+    known. A json.JSONDecodeError becomes a LineError at its line, its
+    column kept. So do a leading byte-order mark, which would otherwise
+    become part of the first id or key (line 1), and a byte that is not
+    UTF-8. That byte's line is found only then, by decoding the file's
+    bytes again, so a file that decodes costs nothing more.
     """
     with open(path, encoding="utf-8") as fh:
-        if fh.buffer.peek(3).startswith(codecs.BOM_UTF8):
-            raise FairQRError(f"{path} line 1: starts with a UTF-8 "
-                              f"byte-order mark; save it without one")
         try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                data = raw.read()
+            if fh.buffer.peek(3).startswith(codecs.BOM_UTF8):
+                raise LineError("starts with a UTF-8 byte-order mark; save it "
+                                "without one", 1)
             try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
-                raise FairQRError(
-                    f"{path} line {line}: byte 0x{data[exc.start]:02x} is not "
-                    f"utf-8 ({exc.reason})") from None
+                yield fh
+            except json.JSONDecodeError as exc:
+                raise LineError(f"invalid JSON: {exc}", exc.lineno) from None
+            except UnicodeDecodeError:
+                with open(path, "rb") as raw:
+                    data = raw.read()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line = data.count(b"\n", 0, exc.start) + 1
+                    raise LineError(f"byte 0x{data[exc.start]:02x} is not "
+                                    f"utf-8 ({exc.reason})", line) from None
+                raise
+        except FairQRError as exc:
+            at_line = isinstance(exc, LineError) and exc.line is not None
+            exc.args = (f"{path}{' ' if at_line else ': '}{exc}",)
             raise
 
 
@@ -273,12 +279,12 @@ def load_schemas(path) -> list[GroupSchema]:
 
     Format: {"<category>": ["<subgroup>", ...], ...}
     """
-    with open_utf8(path) as fh:
+    with open_utf8(path) as fh:  # a SchemaError names the file
         data = json.load(fh)
-    if not is_string_lists(data):
-        raise SchemaError("schema file must map categories to lists of "
-                          "subgroup labels")
-    return [GroupSchema(cat, tuple(subs)) for cat, subs in data.items()]
+        if not is_string_lists(data):
+            raise SchemaError("schema file must map categories to lists of "
+                              "subgroup labels")
+        return [GroupSchema(cat, tuple(subs)) for cat, subs in data.items()]
 
 
 def load_corpus(corpus_path, schema_path) -> CorpusStore:

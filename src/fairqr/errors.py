@@ -10,10 +10,11 @@ class UsageError(FairQRError, ValueError):
 
 
 class LineError(FairQRError):
-    """An error at a numbered input line, prefixed `line N:` when known."""
+    """An error at a numbered input line, prefixed `line N:` when known;
+    `corpus.open_utf8` puts the file's path in front."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.detail = message  # without the line
+        self.detail, self.line = message, line  # detail: without the line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -64,4 +65,4 @@ class LexiconError(RefinerError):
 
 
 class RunFileError(LineError):
-    """Malformed TREC run or qrels line, at its line when known."""
+    """Malformed TREC run, qrels or queries line, at its line when known."""

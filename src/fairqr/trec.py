@@ -1,11 +1,13 @@
-"""TREC-format qrels and run files.
+"""TREC-format queries, qrels and run files, UTF-8.
 
-Qrels lines: `query_id 0 doc_id grade`. Run lines:
-`query_id Q0 doc_id rank score tag`. Both whitespace-separated, UTF-8.
+Queries lines: `query_id<TAB>query text`. Qrels lines: `query_id 0 doc_id
+grade`, and run lines: `query_id Q0 doc_id rank score tag`, both
+whitespace-separated. A malformed line is a RunFileError at its line, which
+`open_utf8` names at its file.
 """
 from __future__ import annotations
 
-from .corpus import open_utf8
+from .corpus import open_utf8, tokenize
 from .errors import RunFileError
 from .index import RankedList, make_ranked_list
 
@@ -13,24 +15,67 @@ from .index import RankedList, make_ranked_list
 Qrels = dict[str, dict[str, int]]
 
 
+def _check_query_id(query_id: str, line_no: int) -> None:
+    """RunFileError at the line if the query id holds U+FEFF: a byte-order
+    mark saved inside it, which the id in another file would lack."""
+    if "\ufeff" in query_id:
+        raise RunFileError(f"query id {query_id!r} holds U+FEFF, a "
+                           f"byte-order mark", line_no)
+
+
+def _fields(fh, width: int):
+    """(line number, fields) of each non-blank whitespace-separated line; a
+    line of another width is a RunFileError at its line, and so is a query
+    id (the first field) that `_check_query_id` refuses."""
+    for line_no, line in enumerate(fh, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != width:
+            raise RunFileError(f"expected {width} fields, got {len(fields)}",
+                               line_no)
+        _check_query_id(fields[0], line_no)
+        yield line_no, fields
+
+
+def parse_queries(path) -> list[tuple[str, str]]:
+    """(query id, text) pairs in file order; blank lines skipped.
+
+    A line without a tab, whose text tokenizes to nothing, whose query id is
+    empty, holds whitespace, `/` or `\\` (a run file line or a trace file
+    name cannot hold them) or U+FEFF, or whose query id an earlier line
+    already used, is a RunFileError at its line.
+    """
+    queries = []
+    first_line: dict[str, int] = {}
+    with open_utf8(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            query_id, tab, text = line.partition("\t")
+            if not (tab and tokenize(text)):
+                raise RunFileError(f"query {query_id!r} has no searchable "
+                                   f"text after a tab", line_no)
+            if not query_id or any(c.isspace() or c in "/\\"
+                                   for c in query_id):
+                raise RunFileError(f"query id {query_id!r} is empty or holds "
+                                   f"whitespace, '/' or '\\'", line_no)
+            _check_query_id(query_id, line_no)
+            if query_id in first_line:
+                raise RunFileError(f"query id {query_id!r} repeats line "
+                                   f"{first_line[query_id]}", line_no)
+            first_line[query_id] = line_no
+            queries.append((query_id, text))
+    return queries
+
+
 def parse_qrels(path) -> Qrels:
     """Judgments in file order; a negative grade, a repeated (query, doc)
     pair or a query id holding U+FEFF is a RunFileError at its line."""
     qrels: Qrels = {}
     with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise RunFileError(
-                    f"expected 4 fields, got {len(parts)}", line_no
-                )
-            query_id, _, doc_id, grade_s = parts
-            if "\ufeff" in query_id:  # the queries file's id would lack it
-                raise RunFileError(f"query id {query_id!r} holds U+FEFF, a "
-                                   f"byte-order mark", line_no)
+        for line_no, (query_id, _, doc_id, grade_s) in _fields(fh, 4):
             try:
                 grade = int(grade_s)
             except ValueError:
@@ -68,19 +113,7 @@ def parse_run(path) -> dict[str, RankedList]:
     """Parse a TREC run file back into per-query ranked lists."""
     rows: dict[str, dict[str, tuple[int, float]]] = {}
     with open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise RunFileError(
-                    f"expected 6 fields, got {len(parts)}", line_no
-                )
-            query_id, _, doc_id, rank_s, score_s, _tag = parts
-            if "\ufeff" in query_id:  # the queries file's id would lack it
-                raise RunFileError(f"query id {query_id!r} holds U+FEFF, a "
-                                   f"byte-order mark", line_no)
+        for line_no, (query_id, _, doc_id, rank_s, score_s, _) in _fields(fh, 6):
             try:
                 rank = int(rank_s)
                 score = float(score_s)
@@ -93,15 +126,15 @@ def parse_run(path) -> dict[str, RankedList]:
                 raise RunFileError(f"document {doc_id!r} listed twice for "
                                    f"query {query_id!r}", line_no)
             ranked[doc_id] = (rank, score)
-    run: dict[str, RankedList] = {}
-    for query_id, ranked in rows.items():
-        entries = sorted((r, d, s) for d, (r, s) in ranked.items())
-        ranks = [r for r, _, _ in entries]
-        if ranks != list(range(1, len(ranks) + 1)):
-            raise RunFileError(
-                f"ranks for query {query_id!r} not contiguous from 1"
+        run: dict[str, RankedList] = {}
+        for query_id, ranked in rows.items():  # errors here name the file too
+            entries = sorted((r, d, s) for d, (r, s) in ranked.items())
+            ranks = [r for r, _, _ in entries]
+            if ranks != list(range(1, len(ranks) + 1)):
+                raise RunFileError(
+                    f"ranks for query {query_id!r} not contiguous from 1"
+                )
+            run[query_id] = make_ranked_list(
+                query_id, [(d, s) for _, d, s in entries]
             )
-        run[query_id] = make_ranked_list(
-            query_id, [(d, s) for _, d, s in entries]
-        )
     return run

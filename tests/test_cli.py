@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import re
 import socket
 import subprocess
 import sys
+import time
+import zlib
 
 import pytest
 
@@ -170,6 +173,36 @@ class TestRunCmd:
             workspace["runs"] / "run-mmr.txt"
         ).read_bytes()
 
+    def test_llm_jobs_flag_preserves_output(self, workspace, tmp_path,
+                                            monkeypatch):
+        # the stub model's reply depends only on the prompt; its latency
+        # varies by prompt, so under --jobs 4 replies arrive out of order
+        asked = re.compile(r"documents of query: (.*?) are from diverse.*"
+                           r"it's the subgroup: (.*?)\. Show me", re.S)
+
+        def transport(url, headers, payload):
+            prompt = payload["messages"][0]["content"]
+            query, subgroup = asked.search(prompt).groups()
+            time.sleep(zlib.crc32(prompt.encode()) % 4 / 1000)
+            return {"choices": [{"message": {
+                "content": f"REFINED_QUERY: {query} marker{subgroup}"}}]}
+
+        monkeypatch.setattr("fairqr.llm._urllib_transport", transport)
+        written = {}
+        for jobs in ("1", "4"):
+            out = tmp_path / f"jobs{jobs}"
+            args = (["run", "fairqr", "--refiner", "llm", "--base-url",
+                     "http://llm.invalid/v1", "--model", "m", "--jobs", jobs]
+                    + workspace["common"])
+            args[args.index(str(workspace["runs"]))] = str(out)
+            assert main(args) == 0
+            written[jobs] = {path.relative_to(out): path.read_bytes()
+                             for path in out.rglob("*") if path.is_file()}
+        assert len(written["1"]) == 11  # the run file and ten traces
+        assert sum(b"REFINED_QUERY" in data
+                   for data in written["1"].values()) == 10
+        assert written["4"] == written["1"]
+
     def test_fairqr_reranks_the_measured_top_k(self, workspace, tmp_path):
         # at the default pool size (100) the re-ranker must not reach past
         # the k documents whose exposure the loop measured
@@ -231,8 +264,9 @@ class TestRunCmd:
         assert main(["run", "fairqr", "--refiner", "llm", "--base-url",
                      "http://llm.invalid/v1", "--model", "m",
                      "--template", str(template)] + common) == 2
-        err = capsys.readouterr().err
-        assert "template missing placeholder {subgroup}" in err
+        assert capsys.readouterr().err == (
+            f"data error: {template}: template missing placeholder "
+            f"{{subgroup}}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["fairqr", "fairqr-norerank"])
@@ -425,6 +459,22 @@ class TestStaleInputs:
         assert err.startswith(f"data error: {corpus} line 2:")
         assert "'gender'" in err and "'d2'" in err
 
+    def test_label_outside_the_schema_is_named_at_its_line(
+            self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = [{"id": "d1", "text": "solar", "groups": {}},
+                   {"id": "d2", "text": "wind",
+                    "groups": {"gender": ["male", "martian"]}}]
+        corpus.write_text("\n\n".join(map(json.dumps, records)))  # line 3
+        args = ["index", "--corpus", str(corpus), "--schema",
+                str(workspace["data"] / "schema.json"),
+                "--index-file", str(tmp_path / "index.npz")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {corpus} line 3: label 'martian' is not a subgroup "
+            f"of category 'gender' (document 'd2')\n")
+        assert not (tmp_path / "index.npz").exists()
+
     @pytest.mark.parametrize("masses", [
         {"male": 0.4, "female": 0.2},                # sums to 0.6
         {"male": 0.5, "female": 0.3, "other": 0.2},  # label outside schema
@@ -443,7 +493,8 @@ class TestStaleInputs:
                 + workspace["common"])
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
         assert main(args) == 2
-        assert "'q03'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {targets}: target for query 'q03'")
 
     @pytest.mark.parametrize("content, named", [
         ([{"q03": {"gender": {"male": 1.0}}}], "targets.json"),
@@ -457,7 +508,8 @@ class TestStaleInputs:
                 + workspace["common"])
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
         assert main(args) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {targets}: ") and named in err
 
 
     def test_schema_not_lists_of_labels_is_data_error(self, workspace,
@@ -468,7 +520,8 @@ class TestStaleInputs:
         args[args.index(str(workspace["data"] / "schema.json"))] = str(schema)
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
         assert main(args) == 2
-        assert capsys.readouterr().err.startswith("data error: schema file")
+        assert capsys.readouterr().err.startswith(
+            f"data error: {schema}: schema file")
 
     @pytest.mark.parametrize("lexicon", [[1, 2], {"male": "markermale"}],
                              ids=["list", "string-value"])
@@ -480,7 +533,22 @@ class TestStaleInputs:
         args[args.index(str(workspace["data"] / "lexicon.json"))] = str(path)
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "runs")
         assert main(args) == 2
-        assert capsys.readouterr().err.startswith("data error: lexicon")
+        assert capsys.readouterr().err.startswith(
+            f"data error: {path}: lexicon must map")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name", ["config", "schema", "lexicon",
+                                      "targets"])
+    def test_invalid_json_input_is_named_at_its_line(
+            self, workspace, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text('{\n  "male": [1, 2,]\n}\n')
+        args = ["run", "fairqr"] + workspace["common"] + [
+            f"--{name}", str(path), "--out", str(tmp_path / "runs")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path} line 2: invalid JSON: Expecting value: "
+            f"line 2 column 17 (char 18)\n")
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("name, line", [
@@ -889,7 +957,7 @@ class TestUsage:
         args[args.index(str(workspace["runs"]))] = str(tmp_path / "out")
         assert main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error:")
+        assert err.startswith(f"usage error: {config_path}: ")
         assert repr(field) in err if field else "JSON object" in err
         assert not (tmp_path / "out").exists()
 

@@ -333,7 +333,7 @@ class TestTrecFormats:
         path.write_text(text)
         with pytest.raises(RunFileError) as info:
             parse_qrels(path)
-        assert str(info.value) == message
+        assert str(info.value) == f"{path} {message}"
 
     def test_run_roundtrip_bit_exact(self, tmp_path, synth):
         from fairqr.index import retrieve
