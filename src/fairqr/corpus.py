@@ -88,23 +88,26 @@ class GroupSchema:
 class CorpusStore:
     """Immutable-after-ingestion document collection, in doc-id order.
 
-    `rows` maps each document id to its row, the ids ascending, so a row is
-    also the document's position in an index built from the store;
-    `texts[row]` is that document's text. `groups` holds one read-only
-    (documents + 1) x subgroups matrix per category: row i is the i-th
-    id's membership vector, the last row (all mass on "Unknown") an id
-    outside the corpus. `digest` is derived on first use. Safe for
-    concurrent reads once built; ingestion is single-writer.
+    `ids` holds the document ids ascending, so row i of the store is
+    `ids[i]`, and its position in an index built from the store, which
+    shares the tuple as its `doc_ids`. `rows` maps each id to its row (it
+    iterates in the order the records were read); `texts[row]` is that
+    document's text. `groups` holds one read-only (documents + 1) x
+    subgroups matrix per category: row i is the i-th id's membership
+    vector, the last row (all mass on "Unknown") an id outside the corpus.
+    `digest` is derived on first use. Safe for concurrent reads once
+    built; ingestion is single-writer.
     """
 
     schemas: dict[str, GroupSchema]
+    ids: tuple[str, ...] = ()
     rows: dict[str, int] = field(default_factory=dict)
     texts: list[str] = field(default_factory=list)
     groups: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_documents(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
     @cached_property
     def digest(self) -> str:
@@ -115,7 +118,7 @@ class CorpusStore:
         that differ in any id or text digest differently, and two that list
         the same records in another order digest alike.
         """
-        ids, n = list(self.rows), self.n_documents
+        ids, n = self.ids, self.n_documents
         digest = hashlib.sha256(n.to_bytes(8, "little"))
         for strings in (ids, self.texts):
             digest.update(np.fromiter(map(len, strings), "<i8", n).tobytes())
@@ -149,54 +152,59 @@ def ingest_corpus(
     then put in id order.
     """
     schemas = {s.category: s for s in schemas}
-    rows, texts = {}, []  # in ingest order
-    # per category: its schema, and the (ingest row, column) of every label
-    marks = {c: (s, [], []) for c, s in schemas.items()}
-    for line_no, record in enumerate(records, start=1):
+    rows, texts = {}, []  # each id's ingest row; the texts in that order
+    unknown = [UNKNOWN]
+    # per category: each label's column, and the (ingest row, column) of
+    # every label read
+    marks = tuple((c, {label: col for col, label in enumerate(s.subgroups)},
+                   [], []) for c, s in schemas.items())
+    for row, record in enumerate(records):  # an error is at row + 1
         if not isinstance(record, dict):
-            raise IngestionError("record is not an object", line_no)
+            raise IngestionError("record is not an object", row + 1)
         doc_id = record.get("id")
         text = record.get("text")
         if not isinstance(doc_id, str) or not doc_id:
-            raise IngestionError("missing or invalid 'id'", line_no)
+            raise IngestionError("missing or invalid 'id'", row + 1)
         if not isinstance(text, str):
-            raise IngestionError("missing or invalid 'text'", line_no)
-        if doc_id in rows:
-            raise IngestionError(f"duplicate document id {doc_id!r}", line_no)
+            raise IngestionError("missing or invalid 'text'", row + 1)
+        if rows.setdefault(doc_id, row) != row:
+            raise IngestionError(f"duplicate document id {doc_id!r}", row + 1)
         raw_groups = record.get("groups", {})
         if not isinstance(raw_groups, dict):
-            raise IngestionError("'groups' must be an object", line_no)
-        row = len(texts)
-        for category, (schema, label_rows, cols) in marks.items():
+            raise IngestionError("'groups' must be an object", row + 1)
+        for category, column, label_rows, cols in marks:
             labels = raw_groups.get(category)
-            if labels is None or labels == []:
-                labels = [UNKNOWN]
-            elif not isinstance(labels, list):
-                raise IngestionError(
-                    f"labels of category {category!r} must be a list of "
-                    f"strings (document {doc_id!r})", line_no)
-            for label in labels:
-                if label not in schema.subgroups:  # a non-string label too
+            if not (isinstance(labels, list) and labels):
+                if labels is not None and labels != []:
                     raise IngestionError(
-                        f"label {label!r} is not a subgroup of category "
-                        f"{category!r} (document {doc_id!r})", line_no)
-                label_rows.append(row)
-                cols.append(schema.subgroups.index(label))
-        rows[doc_id] = row
+                        f"labels of category {category!r} must be a list of "
+                        f"strings (document {doc_id!r})", row + 1)
+                labels = unknown
+            try:
+                for label in labels:
+                    cols.append(column[label])
+                    label_rows.append(row)
+            except (KeyError, TypeError):  # TypeError: a list or object label
+                subgroups = schemas[category].subgroups
+                label = next(x for x in labels if x not in subgroups)
+                raise IngestionError(
+                    f"label {label!r} is not a subgroup of category "
+                    f"{category!r} (document {doc_id!r})", row + 1) from None
         texts.append(text)
     n = len(texts)
-    ids = sorted(rows)  # the only sort: row i of the store is ids[i]
+    ids = tuple(sorted(rows))  # the only sort: row i of the store is ids[i]
     order = list(map(rows.__getitem__, ids))  # each id's ingest row
-    new_row = np.empty(n + 1, np.intp)  # each ingest row's store row
-    new_row[order + [n]] = np.arange(n + 1)  # row n: an id outside
-    store = CorpusStore(schemas, dict(zip(ids, range(n))),
+    # now each id's store row: the values, 0 to n - 1 in insertion order,
+    # are reused, so the rows make no new int
+    rows.update(zip(ids, list(rows.values())))
+    # each ingest row's store row: the values, still in ingest order
+    new_row = np.fromiter(rows.values(), np.intp, n)
+    store = CorpusStore(schemas, ids, rows,
                         list(map(texts.__getitem__, order)))
-    for category, (schema, label_rows, cols) in marks.items():
-        label_rows.append(n)
-        cols.append(schema.subgroups.index(UNKNOWN))
-        shape = (n + 1, len(schema.subgroups))
-        matrix = store.groups[category] = np.zeros(shape)
+    for category, column, label_rows, cols in marks:
+        matrix = store.groups[category] = np.zeros((n + 1, len(column)))
         matrix[new_row[label_rows], cols] = 1.0  # a label twice counts once
+        matrix[n, column[UNKNOWN]] = 1.0  # the row of an id outside
         matrix /= matrix.sum(axis=1, keepdims=True)
         matrix.flags.writeable = False  # shared by concurrent readers
     return store
@@ -247,7 +255,7 @@ def open_utf8(path):
             raise
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once  # the C scanner that json.loads runs
 
 
 def read_jsonl(path) -> Iterator[dict]:
@@ -258,9 +266,9 @@ def read_jsonl(path) -> Iterator[dict]:
             line = line.strip()  # a superset of JSON's whitespace
             if not line:
                 continue
-            try:
-                record, end = _raw_decode(line)
-            except json.JSONDecodeError:
+            try:  # StopIteration: no value starts at 0
+                record, end = _scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):
                 end = None
             if end != len(line):  # json.loads words the error (e.g. a BOM)
                 try:

@@ -119,12 +119,15 @@ def target_from_qrels(
     qrels, store: CorpusStore, query_id: str, category: str
 ) -> FairnessTarget:
     """Empirical group distribution over the query's relevant documents."""
-    judged = qrels.get(query_id, {}).items()
-    relevant = [d for d, grade in judged if grade > 0 and d in store.rows]
-    if not relevant:
+    judged, row_of = qrels.get(query_id, {}).items(), store.rows.get
+    at = [row for d, grade in judged  # judged ids outside the corpus skipped
+          if grade > 0 and (row := row_of(d)) is not None]
+    if not at:
         raise NoTargetError(f"no relevant documents for query {query_id!r}")
-    rows = store.group_rows(category, relevant)
-    dist = ExposureDistribution(category, rows.mean(axis=0))
+    store.schema(category)  # CorpusLookupError for an unknown category
+    relevant = store.groups[category].take(at, axis=0)
+    # np.mean's sum and division, without its Python wrapper
+    dist = ExposureDistribution(category, np.add.reduce(relevant) / len(at))
     return FairnessTarget(query_id, category, dist, provenance="qrels-empirical")
 
 

@@ -26,6 +26,7 @@ postings by binary search.
 from __future__ import annotations
 
 import json
+import operator
 import zipfile
 from array import array
 from bisect import bisect_left
@@ -293,7 +294,7 @@ def build_index(store: CorpusStore) -> InvertedIndex:
     if store.n_documents == 0:
         raise IndexBuildError("cannot index an empty corpus")
     vocabulary, counts = _count_terms(store.texts)
-    return InvertedIndex(tuple(store.rows), vocabulary, *counts, store.digest)
+    return InvertedIndex(store.ids, vocabulary, *counts, store.digest)
 
 
 def _count_terms(texts: list[str]):
@@ -484,13 +485,13 @@ def _checked_index(meta, indptr, positions, tf) -> InvertedIndex:
     if (k1, b) != (K1, B):
         raise ValueError(f"BM25 parameters k1={k1!r}, b={b!r}, not {K1}, {B}")
     if not (isinstance(digest, str)
-            and all(isinstance(v, list) and all(isinstance(s, str) for s in v)
+            and all(isinstance(v, list) and set(map(type, v)) <= {str}
                     for v in (doc_ids, terms))):
         raise ValueError("malformed meta")
     n = len(doc_ids)
-    if n == 0 or any(x >= y for x, y in zip(doc_ids, doc_ids[1:])):
+    if n == 0 or not all(map(operator.lt, doc_ids, doc_ids[1:])):
         raise ValueError("doc ids are not unique and sorted")
-    vocabulary = {term: t for t, term in enumerate(terms)}
+    vocabulary = dict(zip(terms, range(len(terms))))
     if len(vocabulary) != len(terms):
         raise ValueError("a term is listed twice")
     if not all(a.ndim == 1 and a.dtype.kind in "iu" and np.can_cast(a, np.int64)

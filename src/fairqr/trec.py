@@ -23,21 +23,6 @@ def _check_query_id(query_id: str, line_no: int) -> None:
                            f"byte-order mark", line_no)
 
 
-def _fields(fh, width: int):
-    """(line number, fields) of each non-blank whitespace-separated line; a
-    line of another width is a RunFileError at its line, and so is a query
-    id (the first field) that `_check_query_id` refuses."""
-    for line_no, line in enumerate(fh, start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != width:
-            raise RunFileError(f"expected {width} fields, got {len(fields)}",
-                               line_no)
-        _check_query_id(fields[0], line_no)
-        yield line_no, fields
-
-
 def parse_queries(path) -> list[tuple[str, str]]:
     """(query id, text) pairs in file order; blank lines skipped.
 
@@ -75,7 +60,18 @@ def parse_qrels(path) -> Qrels:
     pair or a query id holding U+FEFF is a RunFileError at its line."""
     qrels: Qrels = {}
     with open_utf8(path) as fh:
-        for line_no, (query_id, _, doc_id, grade_s) in _fields(fh, 4):
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if len(fields) != 4:
+                if not fields:
+                    continue
+                raise RunFileError(f"expected 4 fields, got {len(fields)}",
+                                   line_no)
+            query_id, _, doc_id, grade_s = fields
+            judged = qrels.get(query_id)
+            if judged is None:  # checked once, on its first line
+                _check_query_id(query_id, line_no)
+                judged = qrels[query_id] = {}
             try:
                 grade = int(grade_s)
             except ValueError:
@@ -85,7 +81,6 @@ def parse_qrels(path) -> Qrels:
             if grade < 0:
                 raise RunFileError(f"negative grade for ({query_id}, "
                                    f"{doc_id}): {grade}", line_no)
-            judged = qrels.setdefault(query_id, {})
             if doc_id in judged:
                 raise RunFileError(f"duplicate qrels pair ({query_id}, "
                                    f"{doc_id})", line_no)
@@ -113,7 +108,18 @@ def parse_run(path) -> dict[str, RankedList]:
     """Parse a TREC run file back into per-query ranked lists."""
     rows: dict[str, dict[str, tuple[int, float]]] = {}
     with open_utf8(path) as fh:
-        for line_no, (query_id, _, doc_id, rank_s, score_s, _) in _fields(fh, 6):
+        for line_no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if len(fields) != 6:
+                if not fields:
+                    continue
+                raise RunFileError(f"expected 6 fields, got {len(fields)}",
+                                   line_no)
+            query_id, _, doc_id, rank_s, score_s, _ = fields
+            ranked = rows.get(query_id)
+            if ranked is None:  # checked once, on its first line
+                _check_query_id(query_id, line_no)
+                ranked = rows[query_id] = {}
             try:
                 rank = int(rank_s)
                 score = float(score_s)
@@ -121,7 +127,6 @@ def parse_run(path) -> dict[str, RankedList]:
                 raise RunFileError(
                     f"bad rank/score {rank_s!r}/{score_s!r}", line_no
                 ) from None
-            ranked = rows.setdefault(query_id, {})
             if doc_id in ranked:
                 raise RunFileError(f"document {doc_id!r} listed twice for "
                                    f"query {query_id!r}", line_no)

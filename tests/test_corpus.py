@@ -121,8 +121,11 @@ class TestLoadCorpus:
         ('{"id": "d2", "text": }', "line 4: invalid JSON: "),
         ('{"id": "d2", "text": "y", "groups": ["male"]}',
          "line 4: 'groups' must be an object"),
+        # the first record at fault is named, not a later line's bad JSON
+        ('{"id": "d1", "text": "y"}\n{"id": "d5", "text": }',
+         "line 4: duplicate document id 'd1'"),
     ], ids=["duplicate-id", "no-text", "not-an-object", "invalid-json",
-            "groups-not-an-object"])
+            "groups-not-an-object", "duplicate-id-before-invalid-json"])
     def test_record_error_names_its_file_line(self, tmp_path, line, message):
         # the record at fault is the second, on line 4 after two blank lines
         corpus = tmp_path / "corpus.jsonl"
@@ -182,8 +185,10 @@ class TestIngest:
                 [{"id": "d1", "text": "x"}, {"text": "no id"}], [GENDER]
             )
 
-    @pytest.mark.parametrize("labels", [5, "male", {"male": 1}, ["male", 5]],
-                             ids=["int", "str", "dict", "list-with-int"])
+    @pytest.mark.parametrize("labels", [5, "male", {"male": 1}, ["male", 5],
+                                        ["male", ["x"]], [{"male": 1}]],
+                             ids=["int", "str", "dict", "list-with-int",
+                                  "list-with-list", "list-with-dict"])
     def test_labels_must_be_a_list_of_strings(self, labels):
         records = [{"id": "d1", "text": "x", "groups": {}},
                    {"id": "d2", "text": "y", "groups": {"gender": labels}}]
@@ -249,7 +254,7 @@ class TestIngest:
         matrix = store.groups["gender"]
         # id order, then the row of an id outside the corpus
         assert store.rows == {"d1": 0, "d2": 1} and store.texts == ["b", "a"]
-        assert list(store.rows) == ["d1", "d2"]
+        assert store.ids == ("d1", "d2")
         assert matrix.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert not matrix.flags.writeable
 

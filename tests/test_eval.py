@@ -327,10 +327,14 @@ class TestTrecFormats:
         ("q1 0 d1 1\nq1 0 d2 -1\n", "line 2: negative grade for (q1, d2): -1"),
         ("q1 0 d1 1\nq1 0 d1 2\n", "line 2: duplicate qrels pair (q1, d1)"),
         ("q1 0 d1 1\n\nq1 0 d2\n", "line 3: expected 4 fields, got 3"),
-    ], ids=["negative-grade", "duplicate-pair", "three-fields"])
+        # the id is checked on its first line, after two valid lines
+        ("q1 0 d1 1\nq1 0 d2 1\n\ufeffq2 0 d3 1\n",
+         "line 3: query id '\\ufeffq2' holds U+FEFF, a byte-order mark"),
+    ], ids=["negative-grade", "duplicate-pair", "three-fields",
+            "bom-in-new-query-id"])
     def test_bad_qrels_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "qrels.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(RunFileError) as info:
             parse_qrels(path)
         assert str(info.value) == f"{path} {message}"

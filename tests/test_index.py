@@ -543,6 +543,10 @@ class TestPersistence:
         ("version-2 archive", "version 2"),
         ("meta not an object", "not an index file"),
         ("unsorted doc ids", "doc ids"),
+        ("duplicate doc ids", "doc ids"),
+        ("non-string doc id", "malformed meta"),
+        ("non-string term", "malformed meta"),
+        ("term listed twice", "listed twice"),
         ("float positions", "integers"),
         ("indptr not monotone", "indptr"),
         ("indptr too short", "indptr"),
@@ -580,6 +584,14 @@ class TestPersistence:
                 arrays["lengths"] = np.array([3, 2, 1], np.intc)
             elif damage == "unsorted doc ids":
                 meta["doc_ids"] = ["d2", "d1", "d3"]
+            elif damage == "duplicate doc ids":
+                meta["doc_ids"] = ["d1", "d1", "d3"]
+            elif damage == "non-string doc id":
+                meta["doc_ids"] = ["d1", 2, "d3"]
+            elif damage == "non-string term":
+                meta["terms"] = ["a", 1, "c"]
+            elif damage == "term listed twice":
+                meta["terms"] = ["a", "b", "a"]
             elif damage == "meta not an object":
                 meta = ["fairqr-index"]
             elif damage == "k1 2.0":

@@ -593,8 +593,8 @@ class TestFairQRLoop:
         # own corpus; any other index is refused before a query is measured,
         # as `fairqr run` refuses it
         store, _ = small_collection()
-        records = [{"id": d, "text": store.texts[row]}
-                   for d, row in store.rows.items()]
+        records = [{"id": d, "text": text}
+                   for d, text in zip(store.ids, store.texts)]
         if edit == "text-edited":  # same ids, so equal index positions
             records[store.rows["m3"]]["text"] = "women power women solar"
         else:
@@ -621,9 +621,9 @@ class TestFairQRLoop:
         shuffled = data.draw(st.permutations(records))
         schemas = [GroupSchema("gender", SUBS)]
         store, other = (ingest_corpus(r, schemas) for r in (records, shuffled))
-        assert (other.rows, other.texts, other.digest) == (
-            store.rows, store.texts, store.digest)
-        assert list(other.rows) == sorted(store.rows)
+        assert (other.ids, other.rows, other.texts, other.digest) == (
+            store.ids, store.rows, store.texts, store.digest)
+        assert other.ids == tuple(sorted(store.rows))
         assert other.groups["gender"].tobytes() == (
             store.groups["gender"].tobytes())
         index = build_index(store)
